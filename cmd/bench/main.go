@@ -97,12 +97,13 @@ var allocBudgets = map[string]int64{
 var minSpeedups = map[string]float64{
 	"dataset_build_w4": 1.5,
 	"labeling_w4":      1.5,
-	// The plane's in-process handling path vs the legacy codec-per-query
-	// server. Measured ≈10x on the reference box; committed conservative.
+	// The plane's in-process handling path vs the codec-per-query
+	// reference handler. Measured ≈10x on the reference box; committed
+	// conservative.
 	"dnsbl_handle": 6.0,
-	// End-to-end UDP throughput, plane vs legacy server. Loopback
-	// syscalls dominate both sides, so the committed floor only claims
-	// the plane is no slower than the legacy server end to end; the
+	// End-to-end UDP throughput, the default plane server vs the same
+	// server at one reader and one worker. Loopback syscalls dominate
+	// both sides, so the floor claims only a modest scaling gain; the
 	// handling-path floor above carries the speedup story.
 	"dnsbl_serve_qps": 1.1,
 }

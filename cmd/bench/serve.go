@@ -16,7 +16,7 @@ import (
 
 // blastDuration is how long each end-to-end UDP blast runs. Long
 // enough to amortize warmup, short enough to keep a full bench run
-// tolerable (two blasts: plane and legacy reference).
+// tolerable (two blasts: default plane and its one-worker reference).
 const blastDuration = 2 * time.Second
 
 // serveFeedDomains is the listing universe the serve benchmarks query.
@@ -37,7 +37,7 @@ func serveDomain(i int) domain.Name {
 }
 
 // serveQueries packs a mixed workload — listed A, listed TXT, misses —
-// through the legacy codec, so both handling paths answer identical
+// through the dnsbl codec, so both handling paths answer identical
 // wire bytes.
 func serveQueries() [][]byte {
 	var qs [][]byte
@@ -64,11 +64,12 @@ func serveQueries() [][]byte {
 // measureServe appends the DNSBL serving-plane rows to the report:
 //
 //   - dnsbl_handle: the plane's in-process fast path (Responder over a
-//     warmed negative cache) vs the legacy codec-per-query Handle —
+//     warmed negative cache) vs the codec-per-query reference Handle —
 //     the committed ≥6x speedup story, hardware-independent.
 //   - dnsbl_serve_qps: end-to-end UDP throughput of a 2-zone/4-shard
-//     plane server under the blaster, vs the legacy single-zone server
-//     as the serial reference. ns_per_op is 1e9/QPS so the generic
+//     plane server under the blaster at its default pipeline width, vs
+//     the same server at Workers=1, Readers=1 as the serial reference
+//     (same code at one worker). ns_per_op is 1e9/QPS so the generic
 //     ns/op machinery and diff tables apply unchanged.
 //   - dnsbl_serve_p99: the plane blast's p99 round-trip in ns, raw.
 //
@@ -80,7 +81,7 @@ func measureServe(rep *Report) {
 	feed := serveFeed("dbl")
 	qs := serveQueries()
 
-	// In-process handling: plane fast path vs legacy codec.
+	// In-process handling: plane fast path vs the reference handler.
 	fmt.Fprintln(os.Stderr, "bench dnsbl_handle...")
 	plane, err := dnsblplane.New(dnsblplane.Config{
 		Zones:  []dnsblplane.ZoneConfig{{Suffix: "dbl.bench"}},
@@ -103,10 +104,10 @@ func measureServe(rep *Report) {
 			out = resp.Respond(out[:0], qs[i%len(qs)])
 		}
 	})
-	legacy := dnsbl.NewServer("dbl.bench", dnsbl.FeedZone{Feed: feed})
+	ref := dnsbl.NewHandler("dbl.bench", dnsbl.FeedZone{Feed: feed})
 	sr := testing.Benchmark(func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			legacy.Handle(qs[i%len(qs)])
+			ref.Handle(qs[i%len(qs)])
 		}
 	})
 	handle := Bench{
@@ -125,10 +126,11 @@ func measureServe(rep *Report) {
 	}
 	rep.Benchmarks = append(rep.Benchmarks, handle)
 
-	// End-to-end over UDP: 2-zone/4-shard plane vs the legacy server.
+	// End-to-end over UDP: 2-zone/4-shard plane at its defaults vs the
+	// same plane at one reader and one worker.
 	fmt.Fprintln(os.Stderr, "bench dnsbl_serve_qps (two UDP blasts)...")
-	planeRep := blastPlane(feed)
-	legacyRep := blastLegacy(feed)
+	planeRep := blastPlane(feed, &dnsblplane.Server{})
+	serialRep := blastPlane(feed, &dnsblplane.Server{Workers: 1, Readers: 1})
 
 	qpsRow := Bench{
 		Name:       "dnsbl_serve_qps",
@@ -136,7 +138,7 @@ func measureServe(rep *Report) {
 		MinSpeedup: minSpeedups["dnsbl_serve_qps"],
 		MinCPU:     minCPUs["dnsbl_serve_qps"],
 	}
-	if serial := nsPerQuery(legacyRep.QPS); serial > 0 {
+	if serial := nsPerQuery(serialRep.QPS); serial > 0 {
 		qpsRow.SerialNsPerOp = serial
 		if qpsRow.NsPerOp > 0 {
 			s := float64(serial) / float64(qpsRow.NsPerOp)
@@ -169,8 +171,8 @@ func blastWorkload() (listed []string, unlisted []string) {
 	return listed, unlisted
 }
 
-// blastPlane boots the 2-zone/4-shard plane server and blasts it.
-func blastPlane(feed *feeds.Feed) *dnsblplane.Report {
+// blastPlane boots srv on a 2-zone/4-shard plane and blasts it.
+func blastPlane(feed *feeds.Feed, srv *dnsblplane.Server) *dnsblplane.Report {
 	plane, err := dnsblplane.New(dnsblplane.Config{
 		Zones: []dnsblplane.ZoneConfig{
 			{Suffix: "dbl.bench"}, {Suffix: "uribl.bench"},
@@ -185,25 +187,13 @@ func blastPlane(feed *feeds.Feed) *dnsblplane.Report {
 			fatalf("blast plane load %s: %v", z, err)
 		}
 	}
-	srv := &dnsblplane.Server{Plane: plane}
+	srv.Plane = plane
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		fatalf("blast plane listen: %v", err)
 	}
 	defer srv.Close()
 	return blast(addr.String(), []string{"dbl.bench", "uribl.bench"})
-}
-
-// blastLegacy boots the single-zone legacy server and blasts it — the
-// serial reference dnsbl_serve_qps is committed against.
-func blastLegacy(feed *feeds.Feed) *dnsblplane.Report {
-	srv := dnsbl.NewServer("dbl.bench", dnsbl.FeedZone{Feed: feed})
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		fatalf("blast legacy listen: %v", err)
-	}
-	defer srv.Close()
-	return blast(addr.String(), []string{"dbl.bench"})
 }
 
 // blast runs an unverified (pure throughput) blast; correctness is the

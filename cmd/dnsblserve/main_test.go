@@ -78,17 +78,18 @@ func scrapeCounters(t *testing.T, url string) map[string]float64 {
 }
 
 // TestMetricsEndpoint is the acceptance test for the -metrics flag:
-// setup with a ":0" metrics address must serve /metrics, /debug/vars
-// and /debug/pprof/, and the scraped counters must reflect queries the
-// DNS server actually answered.
+// setupPlane with a ":0" metrics address must serve /metrics,
+// /debug/vars and /debug/pprof/, and the scraped counters must reflect
+// queries the DNS server actually answered.
 func TestMetricsEndpoint(t *testing.T) {
-	srv, addr, ms, err := setup(options{
-		feedPath: writeTestFeed(t), zone: "dbl.example",
+	srv, addr, ms, stop, err := setupPlane(options{
+		serves: []string{"dbl.example=" + writeTestFeed(t)},
 		listen: "127.0.0.1:0", ttl: 300, metricsAddr: "127.0.0.1:0",
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer stop()
 	defer srv.Close()
 	defer ms.Close()
 
@@ -103,8 +104,8 @@ func TestMetricsEndpoint(t *testing.T) {
 
 	base := "http://" + ms.Addr().String()
 	got := scrapeCounters(t, base+"/metrics")
-	queriesKey := `dnsbl_server_queries_total{zone="dbl.example"}`
-	hitsKey := `dnsbl_server_hits_total{zone="dbl.example"}`
+	queriesKey := "dnsblplane_queries_total"
+	hitsKey := "dnsblplane_hits_total"
 	if got[queriesKey] != 2 {
 		t.Errorf("%s = %v, want 2 (scrape: %v)", queriesKey, got[queriesKey], got)
 	}
@@ -127,8 +128,7 @@ func TestMetricsEndpoint(t *testing.T) {
 	if !ok {
 		t.Fatalf("/debug/vars missing metrics mirror: %v", vars["metrics"])
 	}
-	// The expvar mirror keys series as name{label=value} (unquoted).
-	expvarKey := "dnsbl_server_queries_total{zone=dbl.example}"
+	expvarKey := "dnsblplane_queries_total"
 	if v, _ := mirror[expvarKey].(float64); v != 2 {
 		t.Errorf("expvar %s = %v, want 2", expvarKey, mirror[expvarKey])
 	}
@@ -148,11 +148,11 @@ func TestMetricsEndpoint(t *testing.T) {
 }
 
 // TestSetupOverloadWiring pins the -workers/-max-inflight flag family:
-// a protected server still answers queries correctly, and the overload
+// a protected server still answers queries correctly, and the gate's
 // instruments show up on /metrics with the admissions it counted.
 func TestSetupOverloadWiring(t *testing.T) {
-	srv, addr, ms, err := setup(options{
-		feedPath: writeTestFeed(t), zone: "dbl.example",
+	srv, addr, ms, stop, err := setupPlane(options{
+		serves: []string{"dbl.example=" + writeTestFeed(t)},
 		listen: "127.0.0.1:0", ttl: 300, metricsAddr: "127.0.0.1:0",
 		workers: 2, queueDepth: 32, maxInflight: 16,
 		rate: 10000, fairBuckets: 4, fairRate: 10000, seed: 7,
@@ -160,8 +160,12 @@ func TestSetupOverloadWiring(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer stop()
 	defer srv.Close()
 	defer ms.Close()
+	if srv.Workers != 2 || srv.QueueDepth != 32 || srv.Admission == nil {
+		t.Fatalf("overload flags not wired: workers=%d queue=%d gate=%v", srv.Workers, srv.QueueDepth, srv.Admission)
+	}
 
 	c := dnsbl.NewClient(addr.String(), "dbl.example", 1)
 	c.Timeout = 3 * time.Second
@@ -175,24 +179,25 @@ func TestSetupOverloadWiring(t *testing.T) {
 	got := scrapeCounters(t, "http://"+ms.Addr().String()+"/metrics")
 	admitted := 0.0
 	for k, v := range got {
-		if strings.HasPrefix(k, "dnsbl_queue_admitted_total") {
+		if strings.HasPrefix(k, "dnsbl_admitted_total") {
 			admitted += v
 		}
 	}
 	if admitted != 2 {
-		t.Errorf("queue admitted = %v, want 2 (scrape: %v)", admitted, got)
+		t.Errorf("gate admitted = %v, want 2 (scrape: %v)", admitted, got)
 	}
 }
 
 // TestSetupWithoutMetrics pins the flag's default-off behavior.
 func TestSetupWithoutMetrics(t *testing.T) {
-	srv, addr, ms, err := setup(options{
-		feedPath: writeTestFeed(t), zone: "dbl.example",
+	srv, addr, ms, stop, err := setupPlane(options{
+		serves: []string{"dbl.example=" + writeTestFeed(t)},
 		listen: "127.0.0.1:0", ttl: 300,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer stop()
 	defer srv.Close()
 	if ms != nil {
 		t.Fatal("metrics server started without -metrics")

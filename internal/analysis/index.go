@@ -133,9 +133,10 @@ func (ix *Index) class(c DomainClass) *classView {
 func (ix *Index) buildClass(c DomainClass, workers int) *classView {
 	n := len(ix.Domains)
 	cv := &classView{bits: bitset.New(n)}
-	// Membership bits: each worker owns a contiguous id range.
-	parallel.Ranges(workers, n, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
+	// Membership bits: word-sharded, so each worker owns whole 64-bit
+	// words and no two workers read-modify-write the same one.
+	parallel.Ranges(workers, len(cv.bits.Words()), func(lo, hi int) {
+		for i := lo * 64; i < hi*64 && i < n; i++ {
 			if c.member(ix.labels[i]) {
 				cv.bits.Set(i)
 			}

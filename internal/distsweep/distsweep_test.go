@@ -180,9 +180,11 @@ func TestDistSweepDuplicateMismatchFatal(t *testing.T) {
 	// Worker A grabs seed 0 and stalls until released; worker B clears
 	// seed 1, steals seed 0, and delivers *different* bytes for it.
 	release := make(chan struct{})
+	leased := make(chan struct{})
 	var once sync.Once
 	slowRun := func(i int, seed uint64) (map[string]float64, error) {
 		if i == 0 {
+			close(leased)
 			<-release
 			return fakeMetrics(0), nil
 		}
@@ -200,6 +202,13 @@ func TestDistSweepDuplicateMismatchFatal(t *testing.T) {
 	slow := fastWorker(addr.String(), "slow", slowRun)
 	errA := make(chan error, 1)
 	go func() { errA <- slow.Run(ctx) }()
+	// Start the thief only once the slow worker holds seed 0; started
+	// together, the thief can lease seed 0 first and nothing is stolen.
+	select {
+	case <-leased:
+	case <-ctx.Done():
+		t.Fatal("slow worker never leased seed 0")
+	}
 	thief := fastWorker(addr.String(), "thief", divergentRun)
 	errB := make(chan error, 1)
 	go func() { errB <- thief.Run(ctx) }()

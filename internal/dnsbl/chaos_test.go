@@ -1,4 +1,4 @@
-package dnsbl
+package dnsbl_test
 
 import (
 	"errors"
@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"tasterschoice/internal/dnsbl"
 	"tasterschoice/internal/domain"
 	"tasterschoice/internal/faultnet"
 	"tasterschoice/internal/feeds"
@@ -15,6 +16,7 @@ import (
 )
 
 // TestChaosLookupsSurviveUDPLoss drives the full client/server exchange
+// against the plane server
 // through a seeded fault injector dropping 30% of datagrams in each
 // direction (so only ~half the attempts complete), plus latency jitter.
 // Every lookup must still succeed within the configured retry budget,
@@ -27,12 +29,7 @@ func TestChaosLookupsSurviveUDPLoss(t *testing.T) {
 		feed.ObserveOnce(simclock.PaperStart, d)
 		listed = append(listed, d)
 	}
-	srv := NewServer("dbl.test", FeedZone{Feed: feed})
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
+	addr, _ := servePlane(t, "dbl.test", feed)
 
 	for _, seed := range []uint64{1, 2, 3} {
 		seed := seed
@@ -43,7 +40,7 @@ func TestChaosLookupsSurviveUDPLoss(t *testing.T) {
 				Latency:  time.Millisecond,
 				Jitter:   2 * time.Millisecond,
 			})
-			c := NewClient(addr.String(), "dbl.test", seed)
+			c := dnsbl.NewClient(addr, "dbl.test", seed)
 			c.Dial = inj.Dial
 			c.Timeout = 120 * time.Millisecond
 			c.Retries = 9 // retry budget: P(all 10 attempts die) ~ 0.51^10 < 0.2%
@@ -72,15 +69,10 @@ func TestChaosLookupsSurviveUDPLoss(t *testing.T) {
 func TestChaosReasonUnderLoss(t *testing.T) {
 	feed := feeds.New("dbl", feeds.KindBlacklist, false, false)
 	feed.ObserveOnce(simclock.PaperStart, "cheappills.com")
-	srv := NewServer("dbl.test", FeedZone{Feed: feed})
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
+	addr, _ := servePlane(t, "dbl.test", feed)
 
 	inj := faultnet.New(faultnet.Faults{Seed: 4, DropProb: 0.30})
-	c := NewClient(addr.String(), "dbl.test", 4)
+	c := dnsbl.NewClient(addr, "dbl.test", 4)
 	c.Dial = inj.Dial
 	c.Timeout = 120 * time.Millisecond
 	c.Retries = 9
@@ -105,7 +97,7 @@ func TestTypedTimeout(t *testing.T) {
 	}
 	defer pc.Close()
 
-	c := NewClient(pc.LocalAddr().String(), "dbl.test", 5)
+	c := dnsbl.NewClient(pc.LocalAddr().String(), "dbl.test", 5)
 	c.Timeout = 50 * time.Millisecond
 	c.Retries = 1
 	c.Backoff = resilient.Backoff{Base: time.Millisecond, Max: time.Millisecond}
@@ -113,8 +105,8 @@ func TestTypedTimeout(t *testing.T) {
 	if err == nil {
 		t.Fatal("lookup against a silent server succeeded")
 	}
-	if !errors.Is(err, ErrTimeout) {
-		t.Fatalf("err = %v, want errors.Is(err, ErrTimeout)", err)
+	if !errors.Is(err, dnsbl.ErrTimeout) {
+		t.Fatalf("err = %v, want errors.Is(err, dnsbl.ErrTimeout)", err)
 	}
 	var nerr net.Error
 	if !errors.As(err, &nerr) || !nerr.Timeout() {
@@ -133,7 +125,7 @@ func TestHardFailureIsNotTimeout(t *testing.T) {
 	deadAddr := pc.LocalAddr().String()
 	pc.Close()
 
-	c := NewClient(deadAddr, "dbl.test", 6)
+	c := dnsbl.NewClient(deadAddr, "dbl.test", 6)
 	c.Timeout = 100 * time.Millisecond
 	c.Retries = 1
 	c.Backoff = resilient.Backoff{Base: time.Millisecond, Max: time.Millisecond}
@@ -143,8 +135,8 @@ func TestHardFailureIsNotTimeout(t *testing.T) {
 	}
 	var nerr net.Error
 	isTimeout := errors.As(err, &nerr) && nerr.Timeout()
-	if errors.Is(err, ErrTimeout) != isTimeout {
+	if errors.Is(err, dnsbl.ErrTimeout) != isTimeout {
 		t.Fatalf("classification mismatch: err=%v, net timeout=%v, ErrTimeout=%v",
-			err, isTimeout, errors.Is(err, ErrTimeout))
+			err, isTimeout, errors.Is(err, dnsbl.ErrTimeout))
 	}
 }

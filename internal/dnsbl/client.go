@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"strings"
 	"time"
 
 	"tasterschoice/internal/domain"
@@ -31,14 +32,15 @@ func (e *timeoutError) Timeout() bool   { return true }
 func (e *timeoutError) Temporary() bool { return true }
 func (e *timeoutError) Unwrap() []error { return []error{ErrTimeout, e.err} }
 
-// Client queries a DNSBL server over UDP. It is safe for concurrent
+// Client queries a DNSBL server over UDP, falling back to TCP for
+// answers too long for a datagram. It is safe for concurrent
 // use once configured: the MTA shares one client across all of its
 // connection goroutines.
 type Client struct {
 	// Addr is the server's UDP address.
 	Addr string
-	// TCPAddr is the server's TCP address for ListedTCP (defaults to
-	// Addr).
+	// TCPAddr is the server's TCP address for ListedTCP and truncated
+	// answers (defaults to Addr).
 	TCPAddr string
 	// Suffix is the DNSBL zone ("dbl.example").
 	Suffix string
@@ -87,6 +89,12 @@ func (c *Client) ListedContext(ctx context.Context, d domain.Name) (bool, error)
 	if err != nil {
 		return false, err
 	}
+	return listedAnswer(resp)
+}
+
+// listedAnswer reads an A response: listed when it carries an address
+// in 127.0.0.0/8, unlisted on NXDOMAIN or an empty answer.
+func listedAnswer(resp *Message) (bool, error) {
 	switch resp.Header.RCode {
 	case RCodeNXDomain:
 		return false, nil
@@ -126,7 +134,9 @@ func (c *Client) ReasonContext(ctx context.Context, d domain.Name) (string, erro
 				return "", err
 			}
 			if len(strs) > 0 {
-				return strs[0], nil
+				// A reason longer than 255 bytes spans several
+				// character strings; they concatenate back.
+				return strings.Join(strs, ""), nil
 			}
 		}
 	}
@@ -134,11 +144,11 @@ func (c *Client) ReasonContext(ctx context.Context, d domain.Name) (string, erro
 }
 
 // query performs one lookup with retries and backoff, verifying the
-// response ID. One response buffer is shared across all attempts.
-// Retry sleeps are interruptible by ctx, and ctx expiry inside an
-// attempt is surfaced as a permanent error so the retrier stops.
+// response ID and repeating a truncated UDP answer over TCP. One
+// response buffer is shared across all attempts. Retry sleeps are
+// interruptible by ctx, and ctx expiry inside an attempt is surfaced
+// as a permanent error so the retrier stops.
 func (c *Client) query(ctx context.Context, d domain.Name, qtype uint16) (*Message, error) {
-	qname := string(d) + "." + c.Suffix
 	buf := make([]byte, 4096)
 	var start time.Time
 	if c.Metrics.QuerySeconds != nil {
@@ -155,16 +165,16 @@ func (c *Client) query(ctx context.Context, d domain.Name, qtype uint16) (*Messa
 		if err := ctx.Err(); err != nil {
 			return resilient.Permanent(err)
 		}
-		id := uint16(c.rng.Uint64())
-		req := &Message{
-			Header:    Header{ID: id, RecursionDesired: false},
-			Questions: []Question{{Name: qname, Type: qtype, Class: ClassIN}},
-		}
-		raw, err := req.Pack()
+		raw, id, err := c.request(d, qtype)
 		if err != nil {
 			return resilient.Permanent(err)
 		}
 		resp, err = c.exchange(ctx, raw, id, buf)
+		if err == nil && resp.Header.Truncated {
+			// The answer did not fit a UDP datagram: ask again over TCP,
+			// which carries it whole (RFC 7766 §5).
+			resp, err = c.exchangeTCP(ctx, raw, id)
+		}
 		if err != nil && errors.Is(err, ErrTimeout) {
 			c.Metrics.Timeouts.Inc()
 		}
@@ -182,6 +192,16 @@ func (c *Client) query(ctx context.Context, d domain.Name, qtype uint16) (*Messa
 		return nil, err
 	}
 	return resp, nil
+}
+
+// request packs one query for d under the zone with a fresh ID.
+func (c *Client) request(d domain.Name, qtype uint16) (raw []byte, id uint16, err error) {
+	id = uint16(c.rng.Uint64())
+	raw, err = (&Message{
+		Header:    Header{ID: id},
+		Questions: []Question{{Name: string(d) + "." + c.Suffix, Type: qtype, Class: ClassIN}},
+	}).Pack()
+	return raw, id, err
 }
 
 // sleepCtx pauses for d or until ctx is done, whichever is first.

@@ -30,9 +30,9 @@ func FuzzUnpack(f *testing.F) {
 	})
 }
 
-// FuzzServerHandle throws raw datagrams at the query handler.
+// FuzzServerHandle throws raw datagrams at the reference handler.
 func FuzzServerHandle(f *testing.F) {
-	srv := NewServer("bl.test", StaticZone{"bad.com": "x"})
+	h := NewHandler("bl.test", StaticZone{"bad.com": "x"})
 	q := &Message{
 		Header:    Header{ID: 2},
 		Questions: []Question{{Name: "bad.com.bl.test", Type: TypeA, Class: ClassIN}},
@@ -41,7 +41,7 @@ func FuzzServerHandle(f *testing.F) {
 	f.Add(raw)
 	f.Add([]byte{0, 0, 0, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		resp := srv.Handle(data)
+		resp := h.Handle(data)
 		if resp == nil {
 			return
 		}

@@ -6,12 +6,15 @@
 //
 // The package contains a from-scratch DNS wire-format codec (header,
 // question, A and TXT resource records, including compression-pointer
-// decoding), a UDP server that serves a feeds.Feed as a DNSBL zone, and
-// a client with timeouts and retries. Everything uses only the
+// decoding, plus DNS-over-TCP framing), a client with timeouts,
+// retries and TCP fallback for truncated answers, and Handler, the
+// socket-less reference answer for one zone. The server that puts
+// zones on the wire is internal/dnsblplane. Everything uses only the
 // standard library.
 package dnsbl
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -91,7 +94,7 @@ func (h *Header) setFlags(f uint16) {
 
 // Question is one DNS question.
 type Question struct {
-	Name  string // dotted, no trailing dot
+	Name  string // dotted, no trailing dot; '.' and '\\' inside a label are backslash-escaped
 	Type  uint16
 	Class uint16
 }
@@ -206,38 +209,62 @@ func Unpack(data []byte) (*Message, error) {
 		off += 4
 	}
 	for i := 0; i < int(m.Header.ANCount); i++ {
-		name, n, err := unpackName(data, off)
+		r, n, err := unpackRecord(data, off)
 		if err != nil {
 			return nil, err
 		}
 		off = n
-		if off+10 > len(data) {
-			return nil, ErrTruncatedMessage
-		}
-		r := Record{
-			Name:  name,
-			Type:  binary.BigEndian.Uint16(data[off:]),
-			Class: binary.BigEndian.Uint16(data[off+2:]),
-			TTL:   binary.BigEndian.Uint32(data[off+4:]),
-		}
-		rdlen := int(binary.BigEndian.Uint16(data[off+8:]))
-		off += 10
-		if off+rdlen > len(data) {
-			return nil, ErrTruncatedMessage
-		}
-		r.Data = append([]byte(nil), data[off:off+rdlen]...)
-		off += rdlen
 		m.Answers = append(m.Answers, r)
+	}
+	// Authority and additional records are validated and skipped: a
+	// message whose header counts promise records that are not there
+	// is truncated, whichever section they belong to.
+	for i := 0; i < int(m.Header.NSCount)+int(m.Header.ARCount); i++ {
+		_, n, err := unpackRecord(data, off)
+		if err != nil {
+			return nil, err
+		}
+		off = n
 	}
 	return m, nil
 }
 
-// packName encodes a dotted name as DNS labels.
+// unpackRecord decodes the resource record at off, returning it and
+// the offset just past it.
+func unpackRecord(data []byte, off int) (Record, int, error) {
+	name, off, err := unpackName(data, off)
+	if err != nil {
+		return Record{}, 0, err
+	}
+	if off+10 > len(data) {
+		return Record{}, 0, ErrTruncatedMessage
+	}
+	r := Record{
+		Name:  name,
+		Type:  binary.BigEndian.Uint16(data[off:]),
+		Class: binary.BigEndian.Uint16(data[off+2:]),
+		TTL:   binary.BigEndian.Uint32(data[off+4:]),
+	}
+	rdlen := int(binary.BigEndian.Uint16(data[off+8:]))
+	off += 10
+	if off+rdlen > len(data) {
+		return Record{}, 0, ErrTruncatedMessage
+	}
+	r.Data = append([]byte(nil), data[off:off+rdlen]...)
+	return r, off + rdlen, nil
+}
+
+// packName encodes a dotted name as DNS labels. A backslash escapes
+// the character after it, so `a\.b` is the single label "a.b": the
+// presentation form (RFC 1035 §5.1) unpackName writes for such labels.
 func packName(name string) ([]byte, error) {
-	name = strings.TrimSuffix(name, ".")
-	var out []byte
-	if name != "" {
-		for _, label := range strings.Split(name, ".") {
+	out := make([]byte, 0, len(name)+2)
+	if name != "" && name != "." {
+		labels := splitLabels(name)
+		if len(labels) > 1 && labels[len(labels)-1] == "" {
+			labels = labels[:len(labels)-1] // a trailing dot names the root
+		}
+		for _, label := range labels {
 			if len(label) == 0 || len(label) > 63 {
 				return nil, fmt.Errorf("%w: label %q", ErrBadName, label)
 			}
@@ -250,6 +277,46 @@ func packName(name string) ([]byte, error) {
 		return nil, fmt.Errorf("%w: name too long", ErrBadName)
 	}
 	return out, nil
+}
+
+// splitLabels splits a dotted name at its unescaped dots, removing the
+// escapes.
+func splitLabels(name string) []string {
+	if strings.IndexByte(name, '\\') < 0 {
+		return strings.Split(name, ".")
+	}
+	var labels []string
+	var cur []byte
+	for i := 0; i < len(name); i++ {
+		switch c := name[i]; {
+		case c == '\\' && i+1 < len(name):
+			i++
+			cur = append(cur, name[i])
+		case c == '.':
+			labels = append(labels, string(cur))
+			cur = cur[:0]
+		default:
+			cur = append(cur, c)
+		}
+	}
+	return append(labels, string(cur))
+}
+
+// escapeLabel renders one wire label in presentation form: a dot or a
+// backslash inside the label is backslash-escaped, so the dotted name
+// splits back into the labels it came from.
+func escapeLabel(label []byte) string {
+	if bytes.IndexByte(label, '.') < 0 && bytes.IndexByte(label, '\\') < 0 {
+		return string(label)
+	}
+	out := make([]byte, 0, len(label)+2)
+	for _, c := range label {
+		if c == '.' || c == '\\' {
+			out = append(out, '\\')
+		}
+		out = append(out, c)
+	}
+	return string(out)
 }
 
 // unpackName decodes a possibly compressed name starting at off,
@@ -291,7 +358,7 @@ func unpackName(data []byte, off int) (string, int, error) {
 			if off+1+b > len(data) {
 				return "", 0, ErrTruncatedMessage
 			}
-			labels = append(labels, string(data[off+1:off+1+b]))
+			labels = append(labels, escapeLabel(data[off+1:off+1+b]))
 			off += 1 + b
 			if len(labels) > 128 {
 				return "", 0, fmt.Errorf("%w: too many labels", ErrBadName)

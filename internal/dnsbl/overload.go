@@ -1,52 +1,22 @@
 package dnsbl
 
 import (
-	"context"
 	"encoding/binary"
-	"net"
 
 	"tasterschoice/internal/overload"
 )
 
-// Overload protection for the DNS serving path. A DNSBL survives
-// resolver floods by shedding cheaply: a header-only SERVFAIL or
-// REFUSED costs a 12-byte write, while answering the query costs an
-// unpack, a zone lookup and a pack. The rules:
+// Wire helpers for overload shedding on the DNS serving path
+// (internal/dnsblplane). A DNSBL survives resolver floods by shedding
+// cheaply: a header-only SERVFAIL or REFUSED costs a 12-byte write,
+// while answering the query costs a lookup and a pack. The rules:
 //
 //   - REFUSED: the shed is the client's doing — it blew through a rate
 //     or fairness budget. Well-behaved resolvers treat it as "this
 //     server will not help you" and back off.
-//   - SERVFAIL: the shed is ours — the work queue is full or the query
-//     aged past its queue deadline. Resolvers fail over to the next
-//     server in their list immediately, which is exactly what we want
-//     during a flood.
-
-// dgram is one pending UDP query.
-type dgram struct {
-	raw  []byte
-	from net.Addr
-}
-
-// queueDepth returns the configured queue bound.
-func (s *Server) queueDepth() int {
-	if s.QueueDepth > 0 {
-		return s.QueueDepth
-	}
-	return 16 * s.Workers
-}
-
-// classify returns the priority class of a raw query.
-func (s *Server) classify(raw []byte, from net.Addr) overload.Priority {
-	if s.Classify != nil {
-		return s.Classify(raw, from)
-	}
-	if QTypeOf(raw) == TypeTXT {
-		// TXT lookups fetch listing reasons — oracle traffic, not the
-		// bulk resolver flood.
-		return overload.Normal
-	}
-	return overload.Bulk
-}
+//   - SERVFAIL: the shed is ours — the work queue is full. Resolvers
+//     fail over to the next server in their list immediately, which is
+//     exactly what we want during a flood.
 
 // QTypeOf extracts the query type from a raw single-question DNS
 // message without a full unpack: skip the 12-byte header and the
@@ -76,8 +46,7 @@ func QTypeOf(raw []byte) uint16 {
 // client's ID echoed, QR set, opcode and RD preserved, the given
 // RCode, and no question section (legal, and what mustPack already
 // degrades to). Returns nil when raw is too short to be a query or is
-// itself a response. Shared with internal/dnsblplane, whose batched
-// read loop sheds the same way.
+// itself a response.
 func ShedReply(raw []byte, rcode uint8) []byte {
 	if len(raw) < 12 || raw[2]&0x80 != 0 {
 		return nil
@@ -91,90 +60,12 @@ func ShedReply(raw []byte, rcode uint8) []byte {
 
 // ShedRCode maps a shed reason to its wire answer: REFUSED when the
 // shed is the client's doing (rate or fairness), SERVFAIL when it is
-// the server's (capacity or deadline).
+// the server's (capacity).
 func ShedRCode(r overload.ShedReason) uint8 {
 	switch r {
 	case overload.ShedRate, overload.ShedFairness:
 		return RCodeRefused
 	default:
 		return RCodeServFail
-	}
-}
-
-// shedTo answers a shed datagram with its header-only refusal.
-func (s *Server) shedTo(conn net.PacketConn, it dgram, reason overload.ShedReason) {
-	if resp := ShedReply(it.raw, ShedRCode(reason)); resp != nil {
-		conn.WriteTo(resp, it.from) //nolint:errcheck // best-effort UDP reply
-	}
-}
-
-// clientKey is the fairness identity of a peer: its IP, so one host
-// opening many sockets still lands in one bucket.
-func clientKey(addr net.Addr) string {
-	switch a := addr.(type) {
-	case *net.UDPAddr:
-		return a.IP.String()
-	case *net.TCPAddr:
-		return a.IP.String()
-	}
-	if host, _, err := net.SplitHostPort(addr.String()); err == nil {
-		return host
-	}
-	return addr.String()
-}
-
-// serveQueued is the UDP read loop when Workers > 0: it admits, sheds
-// or enqueues each datagram and never does zone work itself, so intake
-// stays fast enough to answer a flood with refusals rather than
-// letting the socket buffer overflow silently.
-func (s *Server) serveQueued(conn net.PacketConn) {
-	defer s.serving.Done()
-	// Closing the queue when intake stops lets workers drain what was
-	// admitted and exit; Shutdown's serving.Wait covers them.
-	defer s.queue.Close()
-	buf := make([]byte, 4096)
-	for {
-		n, addr, err := conn.ReadFrom(buf)
-		if err != nil {
-			return
-		}
-		s.admit(conn, buf[:n], addr)
-		if s.isStopping() {
-			return
-		}
-	}
-}
-
-// admit routes one datagram: priority headroom check, rate/fairness
-// gate, then the bounded queue (whose own shed callback answers
-// capacity and deadline sheds).
-func (s *Server) admit(conn net.PacketConn, raw []byte, from net.Addr) {
-	it := dgram{raw: append([]byte(nil), raw...), from: from}
-	p := s.classify(it.raw, from)
-	// Priority headroom: bulk stops queuing at 3/4 of the bound so a
-	// flood of A queries cannot starve control traffic of queue space.
-	if s.queue.Len() >= p.Share(s.queueDepth()) {
-		s.QueueMetrics.ShedByReason[overload.ShedCapacity].Inc()
-		s.shedTo(conn, it, overload.ShedCapacity)
-		return
-	}
-	if !s.Admission.Allow(p, clientKey(from)) {
-		s.shedTo(conn, it, overload.ShedRate)
-		return
-	}
-	s.queue.Push(it) // a false Push already ran the shed callback
-}
-
-// worker drains the queue, answering admitted queries.
-func (s *Server) worker(conn net.PacketConn) {
-	defer s.serving.Done()
-	for {
-		it, ok := s.queue.PopContext(context.Background())
-		if !ok {
-			return
-		}
-		if resp := s.Handle(it.raw); resp != nil {
-			conn.WriteTo(resp, it.from) //nolint:errcheck // best-effort UDP reply
-		}
 	}
 }

@@ -1,10 +1,7 @@
 package dnsbl
 
 import (
-	"context"
-	"net"
 	"testing"
-	"time"
 
 	"tasterschoice/internal/overload"
 )
@@ -55,7 +52,7 @@ func TestShedRCodeMapping(t *testing.T) {
 	if ShedRCode(overload.ShedRate) != RCodeRefused || ShedRCode(overload.ShedFairness) != RCodeRefused {
 		t.Fatal("client-fault sheds must REFUSE")
 	}
-	if ShedRCode(overload.ShedCapacity) != RCodeServFail || ShedRCode(overload.ShedDeadline) != RCodeServFail {
+	if ShedRCode(overload.ShedCapacity) != RCodeServFail {
 		t.Fatal("server-fault sheds must SERVFAIL")
 	}
 }
@@ -71,109 +68,5 @@ func TestQtypeOf(t *testing.T) {
 	}
 	if got := QTypeOf([]byte{1, 2, 3}); got != 0 {
 		t.Fatalf("QTypeOf(garbage) = %d, want 0", got)
-	}
-}
-
-func TestDefaultClassify(t *testing.T) {
-	s := NewServer("dbl.example", StaticZone{})
-	txt, _ := (&Message{Questions: []Question{{Name: "x.dbl.example", Type: TypeTXT, Class: ClassIN}}}).Pack()
-	a, _ := (&Message{Questions: []Question{{Name: "x.dbl.example", Type: TypeA, Class: ClassIN}}}).Pack()
-	if s.classify(txt, nil) != overload.Normal {
-		t.Fatal("TXT should classify Normal")
-	}
-	if s.classify(a, nil) != overload.Bulk {
-		t.Fatal("A should classify Bulk")
-	}
-}
-
-// query sends one UDP query to addr and returns the unpacked response.
-func query(t *testing.T, addr net.Addr, name string, qtype uint16, id uint16) *Message {
-	t.Helper()
-	c, err := net.Dial("udp", addr.String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	raw, err := (&Message{
-		Header:    Header{ID: id},
-		Questions: []Question{{Name: name, Type: qtype, Class: ClassIN}},
-	}).Pack()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Write(raw); err != nil {
-		t.Fatal(err)
-	}
-	c.SetReadDeadline(time.Now().Add(5 * time.Second)) //nolint:errcheck
-	buf := make([]byte, 512)
-	n, err := c.Read(buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := Unpack(buf[:n])
-	if err != nil {
-		t.Fatal(err)
-	}
-	return m
-}
-
-func TestQueuedServerAnswersNormally(t *testing.T) {
-	s := NewServer("dbl.example", StaticZone{"cheappills.com": "spam"})
-	s.Workers = 2
-	addr, err := s.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	m := query(t, addr, "cheappills.com.dbl.example", TypeA, 7)
-	if m.Header.RCode != RCodeNoError || len(m.Answers) != 1 {
-		t.Fatalf("queued path answer: %+v", m)
-	}
-	m = query(t, addr, "clean.org.dbl.example", TypeA, 8)
-	if m.Header.RCode != RCodeNXDomain {
-		t.Fatalf("queued path NXDOMAIN: %+v", m)
-	}
-}
-
-func TestQueuedServerShedsRateWithRefused(t *testing.T) {
-	s := NewServer("dbl.example", StaticZone{})
-	s.Workers = 1
-	var cfg overload.GateConfig
-	cfg.Rate[overload.Bulk] = 0.0001 // bucket: one token, then dry for hours
-	cfg.Burst[overload.Bulk] = 1
-	s.Admission = overload.NewGate(cfg)
-	addr, err := s.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	first := query(t, addr, "a.dbl.example", TypeA, 1)
-	if first.Header.RCode != RCodeNXDomain {
-		t.Fatalf("first query = %+v, want NXDOMAIN", first.Header)
-	}
-	second := query(t, addr, "b.dbl.example", TypeA, 2)
-	if second.Header.RCode != RCodeRefused {
-		t.Fatalf("over-rate query rcode = %d, want REFUSED", second.Header.RCode)
-	}
-	if second.Header.ID != 2 {
-		t.Fatalf("shed reply ID = %d, want 2", second.Header.ID)
-	}
-}
-
-func TestQueuedServerShutdownDrains(t *testing.T) {
-	s := NewServer("dbl.example", StaticZone{})
-	s.Workers = 2
-	addr, err := s.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := query(t, addr, "x.dbl.example", TypeA, 3)
-	if m.Header.RCode != RCodeNXDomain {
-		t.Fatalf("pre-drain query: %+v", m)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	if err := s.Shutdown(ctx); err != nil {
-		t.Fatalf("Shutdown: %v", err)
 	}
 }

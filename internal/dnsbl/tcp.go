@@ -1,21 +1,20 @@
 package dnsbl
 
 import (
-	"bufio"
+	"context"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"io"
 	"net"
 	"time"
 
 	"tasterschoice/internal/domain"
-	"tasterschoice/internal/overload"
 )
 
 // DNS over TCP (RFC 1035 §4.2.2): each message is prefixed with a
-// two-byte big-endian length. Real resolvers fall back to TCP when a
-// UDP answer is truncated; large TXT listing reasons can need it.
+// two-byte big-endian length. Resolvers, this package's Client among
+// them, fall back to TCP when a UDP answer is truncated; long TXT
+// listing reasons can need it.
 
 // ReadTCPMessage reads one length-prefixed DNS message.
 func ReadTCPMessage(r io.Reader) ([]byte, error) {
@@ -48,166 +47,54 @@ func WriteTCPMessage(w io.Writer, msg []byte) error {
 	return err
 }
 
-// ListenTCP additionally serves the zone over TCP on addr. Multiple
-// queries may be pipelined on one connection.
-func (s *Server) ListenTCP(addr string) (net.Addr, error) {
-	l, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, err
-	}
-	s.mu.Lock()
-	if s.closed || s.draining {
-		s.mu.Unlock()
-		l.Close()
-		return nil, errors.New("dnsbl: server closed")
-	}
-	if s.tcpListeners == nil {
-		s.tcpListeners = make(map[net.Listener]struct{})
-	}
-	s.tcpListeners[l] = struct{}{}
-	s.serving.Add(1)
-	s.mu.Unlock()
-	go s.serveTCP(l)
-	return l.Addr(), nil
-}
-
-func (s *Server) serveTCP(l net.Listener) {
-	defer s.serving.Done()
-	for {
-		conn, err := l.Accept()
-		if err != nil {
-			return
-		}
-		// Each TCP session holds an admission slot for its lifetime:
-		// sessions are the unit of concurrency here, and TCP fallback
-		// (truncated TXT answers) rides above the bulk UDP flood.
-		release, admitted := s.Admission.Admit(overload.Normal, clientKey(conn.RemoteAddr()))
-		if !admitted {
-			// Connect-then-close: the resolver sees a refused session and
-			// fails over, instead of a half-open socket it must time out.
-			conn.Close()
-			continue
-		}
-		s.mu.Lock()
-		if s.closed || s.draining {
-			s.mu.Unlock()
-			release()
-			conn.Close()
-			return
-		}
-		if s.tcpConns == nil {
-			s.tcpConns = make(map[net.Conn]struct{})
-		}
-		s.tcpConns[conn] = struct{}{}
-		s.serving.Add(1)
-		s.mu.Unlock()
-		go func() {
-			defer s.serving.Done()
-			defer release()
-			defer func() {
-				s.mu.Lock()
-				delete(s.tcpConns, conn)
-				s.mu.Unlock()
-				conn.Close()
-			}()
-			r := bufio.NewReader(conn)
-			w := bufio.NewWriter(conn)
-			for {
-				s.armRead(conn)
-				raw, err := ReadTCPMessage(r)
-				if err != nil {
-					return
-				}
-				resp := s.Handle(raw)
-				if resp == nil {
-					return // garbage: drop the connection
-				}
-				if err := WriteTCPMessage(w, resp); err != nil {
-					return
-				}
-				if err := w.Flush(); err != nil {
-					return
-				}
-				if s.isStopping() {
-					// Drain: the current query was answered; end the
-					// session instead of waiting for more pipelining.
-					return
-				}
-			}
-		}()
-	}
-}
-
-// armRead sets the read deadline for the next pipelined query. It runs
-// under the server lock so it orders against Shutdown's expired-
-// deadline nudge: whichever runs second wins, and under drain the
-// deadline is already expired — the read returns immediately instead
-// of parking for the full idle timeout.
-func (s *Server) armRead(conn net.Conn) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed || s.draining {
-		conn.SetReadDeadline(time.Now()) //nolint:errcheck
-	} else {
-		conn.SetReadDeadline(time.Now().Add(30 * time.Second)) //nolint:errcheck
-	}
-}
-
 // ListedTCP queries over TCP (one connection per call).
 func (c *Client) ListedTCP(d domain.Name) (bool, error) {
-	resp, err := c.queryTCP(d, TypeA)
+	req, id, err := c.request(d, TypeA)
 	if err != nil {
 		return false, err
 	}
-	switch resp.Header.RCode {
-	case RCodeNXDomain:
-		return false, nil
-	case RCodeNoError:
-		for _, a := range resp.Answers {
-			if a.Type == TypeA && len(a.Data) == 4 && a.Data[0] == 127 {
-				return true, nil
-			}
-		}
-		return false, nil
-	default:
-		return false, fmt.Errorf("%w: rcode %d", ErrServFail, resp.Header.RCode)
+	resp, err := c.exchangeTCP(context.Background(), req, id)
+	if err != nil {
+		return false, err
 	}
+	return listedAnswer(resp)
 }
 
-// queryTCP performs one lookup over a fresh TCP connection. TCPAddr
-// defaults to Addr when unset.
-func (c *Client) queryTCP(d domain.Name, qtype uint16) (*Message, error) {
+// exchangeTCP performs one exchange over a fresh TCP connection to
+// TCPAddr (Addr when unset), bounded like the UDP exchange by the
+// per-attempt timeout and ctx.
+func (c *Client) exchangeTCP(ctx context.Context, raw []byte, wantID uint16) (*Message, error) {
 	addr := c.TCPAddr
 	if addr == "" {
 		addr = c.Addr
 	}
-	id := uint16(c.rng.Uint64())
-	req := &Message{
-		Header:    Header{ID: id},
-		Questions: []Question{{Name: string(d) + "." + c.Suffix, Type: qtype, Class: ClassIN}},
+	deadline := time.Now().Add(c.Timeout)
+	if d, ok := ctx.Deadline(); ok && d.Before(deadline) {
+		deadline = d
 	}
-	raw, err := req.Pack()
+	dialer := net.Dialer{Deadline: deadline}
+	conn, err := dialer.DialContext(ctx, "tcp", addr)
 	if err != nil {
-		return nil, err
-	}
-	conn, err := net.DialTimeout("tcp", addr, c.Timeout)
-	if err != nil {
-		return nil, err
+		return nil, classify(err)
 	}
 	defer conn.Close()
-	conn.SetDeadline(time.Now().Add(c.Timeout)) //nolint:errcheck
+	stop := context.AfterFunc(ctx, func() {
+		conn.SetDeadline(time.Now()) //nolint:errcheck
+	})
+	defer stop()
+	conn.SetDeadline(deadline) //nolint:errcheck
 	if err := WriteTCPMessage(conn, raw); err != nil {
-		return nil, err
+		return nil, classify(err)
 	}
-	respRaw, err := ReadTCPMessage(bufio.NewReader(conn))
+	respRaw, err := ReadTCPMessage(conn)
 	if err != nil {
-		return nil, err
+		return nil, classify(err)
 	}
 	resp, err := Unpack(respRaw)
 	if err != nil {
 		return nil, err
 	}
-	if resp.Header.ID != id || !resp.Header.Response {
+	if resp.Header.ID != wantID || !resp.Header.Response {
 		return nil, fmt.Errorf("dnsbl: mismatched TCP response")
 	}
 	return resp, nil

@@ -49,15 +49,15 @@ func BenchmarkRespond(b *testing.B) {
 }
 
 // BenchmarkLegacyHandle is the single-zone baseline the plane's
-// speedup is committed against (cmd/bench dnsbl_handle): the legacy
-// codec Unpacks and Packs every query.
+// speedup is committed against (cmd/bench dnsbl_handle): the reference
+// dnsbl.Handler Unpacks and Packs every query.
 func BenchmarkLegacyHandle(b *testing.B) {
-	srv := dnsbl.NewServer("dbl.test", dnsbl.FeedZone{Feed: testFeed("dbl", 32)})
+	ref := dnsbl.NewHandler("dbl.test", dnsbl.FeedZone{Feed: testFeed("dbl", 32)})
 	qs := benchQueries(64)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		srv.Handle(qs[i%len(qs)])
+		ref.Handle(qs[i%len(qs)])
 	}
 }
 

@@ -1,9 +1,7 @@
-// Package dnsblplane is the multi-tenant DNSBL query plane: the
-// serving-side counterpart of the dataset-build engine. Where
-// internal/dnsbl serves one feed in one zone from a single synchronous
-// loop, the plane serves many zones — each backed by one or more
-// feeds — from a sharded in-memory index built for global resolver
-// traffic:
+// Package dnsblplane is the DNSBL server: the serving-side
+// counterpart of the dataset-build engine. It serves many zones — each
+// backed by one or more feeds — from a sharded in-memory index built
+// for global resolver traffic, over UDP and TCP (see Server):
 //
 //   - Sharding. Each zone's listings are split across a power-of-two
 //     number of shards by FNV-1a over the domain name. The same hash
@@ -73,8 +71,8 @@ type ZoneConfig struct {
 	// NXDOMAIN answers carry the zone's SOA in the authority section
 	// (RFC 2308 negative caching — the record's TTL and MINIMUM are the
 	// zone's NegTTL), and queries for the zone apex itself are answered
-	// instead of refused. Zones without an SOA keep the legacy
-	// byte-for-byte answer shape.
+	// instead of refused. Zones without an SOA keep the reference
+	// handler's byte-for-byte answer shape.
 	SOA *SOAConfig
 }
 
@@ -411,7 +409,7 @@ func (r *Responder) Respond(dst []byte, raw []byte) []byte {
 	opcode := raw[2] >> 3 & 0xf
 	if qd != 1 || opcode != 0 {
 		// Rare malformed shapes take the slow path, which reproduces
-		// the single-feed server's semantics exactly.
+		// the reference handler's semantics exactly.
 		return r.slowOrDrop(dst, raw)
 	}
 	nameLen, qEnd, ok := r.parseQuestion(raw)
@@ -435,7 +433,7 @@ func (r *Responder) Respond(dst []byte, raw []byte) []byte {
 		// Apex queries: a zone with an SOA configured answers for its
 		// own name instead of refusing (SOA in the answer section for
 		// SOA queries, in the authority section otherwise). Zones
-		// without one keep the legacy REFUSED byte shape.
+		// without one keep the reference REFUSED byte shape.
 		for _, cand := range p.zones {
 			if cand.soaRR != nil && len(name) == len(cand.dotSuffix)-1 &&
 				bytes.Equal(name, cand.dotSuffix[1:]) {
@@ -506,8 +504,9 @@ func (r *Responder) Respond(dst []byte, raw []byte) []byte {
 // parseQuestion walks the single question's labels, lowercasing the
 // dotted name into r.name. It returns the name length, the offset just
 // past the question (name + qtype + qclass), and whether the fast path
-// can answer; compression pointers and malformed labels fall back to
-// the slow path, which shares the legacy codec's handling.
+// can answer; compression pointers, malformed labels, labels holding
+// a dot or a backslash, and unusual trailing sections fall back to the
+// slow path, which shares the reference codec's handling.
 func (r *Responder) parseQuestion(raw []byte) (nameLen, qEnd int, ok bool) {
 	i := 12
 	w := 0
@@ -533,16 +532,37 @@ func (r *Responder) parseQuestion(raw []byte) (nameLen, qEnd int, ok bool) {
 		for _, c := range raw[i+1 : i+1+l] {
 			if 'A' <= c && c <= 'Z' {
 				c += 'a' - 'A'
+			} else if c == '.' || c == '\\' {
+				return 0, 0, false // needs escaping: slow path
 			}
 			r.name[w] = c
 			w++
 		}
 		i += 1 + l
 	}
-	if i+4 > len(raw) || w == 0 {
+	if i+4 > len(raw) || w == 0 || !plainTrailer(raw, i+4) {
 		return 0, 0, false
 	}
 	return w, i + 4, true
+}
+
+// plainTrailer reports whether the sections after the question are
+// ones the fast path may ignore: none at all, or a lone EDNS(0) OPT
+// record (root owner, TYPE 41) that is fully present. Anything else,
+// including header counts promising records that are missing, goes to
+// the slow path, which validates every section through the codec.
+func plainTrailer(raw []byte, qEnd int) bool {
+	if raw[6]|raw[7]|raw[8]|raw[9]|raw[10] != 0 {
+		return false
+	}
+	switch raw[11] {
+	case 0:
+		return true
+	case 1:
+		return qEnd+11 <= len(raw) && raw[qEnd] == 0 && raw[qEnd+1] == 0 && raw[qEnd+2] == 41 &&
+			qEnd+11+int(binary.BigEndian.Uint16(raw[qEnd+9:])) <= len(raw)
+	}
+	return false
 }
 
 // appendEcho appends the response prefix: the query's header and
@@ -622,7 +642,7 @@ func (r *Responder) appendA(dst []byte, start int, z *zone) []byte {
 }
 
 // appendTXT appends the listing reason as one TXT record and bumps
-// ANCOUNT. The reason matches the legacy FeedZone text: "listed
+// ANCOUNT. The reason matches dnsbl.FeedZone's text: "listed
 // <RFC3339> by <feed>", or plain "listed" when the feed is unnamed.
 // start is the offset in dst where this response's header begins.
 func (r *Responder) appendTXT(dst []byte, start int, z *zone, e entry) []byte {

@@ -67,13 +67,14 @@ func newTestPlane(t *testing.T, zone string, f *feeds.Feed, negSize int) *Plane 
 }
 
 // TestParityWithLegacyServer locks the plane's wire behaviour to the
-// single-feed server's: for every query shape the two must produce
-// byte-identical responses (or both drop). The legacy server is the
-// committed oracle; the plane is a reimplementation for throughput,
-// not a semantics change.
+// single-zone reference handler's (dnsbl.Handler, what the legacy
+// server answered with): for every query shape the two must produce
+// equivalent responses (or both drop). The reference is the committed
+// oracle; the plane is a reimplementation for throughput, not a
+// semantics change.
 func TestParityWithLegacyServer(t *testing.T) {
 	feed := testFeed("dbl", 8)
-	legacy := dnsbl.NewServer("dbl.test", dnsbl.FeedZone{Feed: feed})
+	legacy := dnsbl.NewHandler("dbl.test", dnsbl.FeedZone{Feed: feed})
 	plane := newTestPlane(t, "dbl.test", feed, -1)
 
 	queries := [][]byte{

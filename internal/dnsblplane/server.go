@@ -2,6 +2,7 @@ package dnsblplane
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"net"
 	"sync"
@@ -13,7 +14,8 @@ import (
 	"tasterschoice/internal/overload"
 )
 
-// Server serves a Plane over DNS/UDP through a batched pipeline:
+// Server serves a Plane over DNS, on UDP and TCP at one address. UDP
+// runs through a batched pipeline:
 //
 //	readers --(pooled buffers)--> bounded queue --> workers
 //
@@ -28,18 +30,23 @@ import (
 // of recvmmsg batching: the stdlib exposes no multi-datagram syscall,
 // so the batching seam lives between the socket readers and the
 // workers rather than in the kernel; swapping a recvmmsg-based reader
-// in later changes only the reader loop.
+// in later changes only the reader loop. An answer that does not fit
+// a 512-byte datagram goes out as header plus question with the TC bit
+// set, and the resolver retries over TCP.
 //
-// Shedding follows the legacy single-feed server's wire contract:
-// REFUSED when the shed is the client's doing (rate or fairness),
-// SERVFAIL when it is ours (queue full), both header-only.
+// TCP (RFC 1035 §4.2.2, RFC 7766) serves length-prefixed queries, any
+// number pipelined on one connection, each session on its own
+// goroutine holding one admission slot for its lifetime (see tcp.go).
+//
+// Shedding is header-only: REFUSED when the shed is the client's doing
+// (rate or fairness), SERVFAIL when it is ours (queue full).
 type Server struct {
 	// Plane answers the queries.
 	Plane *Plane
 
 	// Readers is the socket-reader goroutine count (default 1).
 	Readers int
-	// Workers is the responder goroutine count (default 4).
+	// Workers is the UDP responder goroutine count (default 4).
 	Workers int
 	// Batch bounds how many datagrams one worker wakeup drains
 	// (default 32).
@@ -49,6 +56,8 @@ type Server struct {
 	// 9/10, keeping headroom for critical traffic.
 	QueueDepth int
 	// Admission rate-limits and fair-shares queries; nil admits all.
+	// UDP queries pass Allow per datagram; each TCP session holds an
+	// Admit slot for its lifetime.
 	Admission *overload.Gate
 	// Classify maps a raw query to its priority class. Nil defaults to
 	// TXT → Normal (reason lookups ride above the bulk A-query flood),
@@ -60,6 +69,8 @@ type Server struct {
 
 	mu       sync.Mutex
 	conn     net.PacketConn
+	ln       net.Listener
+	tcpConns map[net.Conn]struct{}
 	closed   bool
 	draining bool
 	// queues is the sharded intake: one bounded queue per worker,
@@ -71,8 +82,9 @@ type Server struct {
 	// the enqueue and dequeue points of the serving loop.
 	depth []*obs.Gauge
 	pool  sync.Pool
-	// serving counts live readers, workers and the queue closer, so
-	// Shutdown can wait for in-flight datagrams to be answered.
+	// serving counts live readers, workers, the queue closer, the TCP
+	// accept loop and TCP sessions, so Shutdown can wait for in-flight
+	// queries to be answered.
 	serving sync.WaitGroup
 	readers sync.WaitGroup
 	// qpsStart/qpsCount implement the rolling ~1s window behind the
@@ -136,10 +148,11 @@ func (s *Server) classify(raw []byte, from net.Addr) overload.Priority {
 	return overload.Bulk
 }
 
-// Listen binds a UDP socket ("127.0.0.1:0" for tests) and serves in
-// background goroutines, returning the bound address.
+// Listen binds UDP and TCP on one address ("127.0.0.1:0" for tests)
+// and serves both in background goroutines, returning the bound UDP
+// address; the TCP port is the same.
 func (s *Server) Listen(addr string) (net.Addr, error) {
-	conn, err := net.ListenPacket("udp", addr)
+	conn, ln, err := listenPair(addr)
 	if err != nil {
 		return nil, err
 	}
@@ -147,9 +160,11 @@ func (s *Server) Listen(addr string) (net.Addr, error) {
 	if s.closed || s.draining {
 		s.mu.Unlock()
 		conn.Close()
+		ln.Close()
 		return nil, errors.New("dnsblplane: server closed")
 	}
-	s.conn = conn
+	s.conn, s.ln = conn, ln
+	s.tcpConns = make(map[net.Conn]struct{})
 	// Split the total queue bound across the worker shards; every
 	// worker owns exactly one queue.
 	nw := s.numWorkers()
@@ -188,8 +203,34 @@ func (s *Server) Listen(addr string) (net.Addr, error) {
 			close(q)
 		}
 	}()
+	s.serving.Add(1)
+	go s.serveTCP(ln)
 	s.mu.Unlock()
 	return conn.LocalAddr(), nil
+}
+
+// listenPair binds UDP on addr, then TCP on the port UDP got. When the
+// caller asked for any port and another socket already holds that one
+// over TCP, it tries again with a fresh port.
+func listenPair(addr string) (net.PacketConn, net.Listener, error) {
+	_, port, err := net.SplitHostPort(addr)
+	if err != nil {
+		return nil, nil, err
+	}
+	for attempt := 1; ; attempt++ {
+		conn, err := net.ListenPacket("udp", addr)
+		if err != nil {
+			return nil, nil, err
+		}
+		ln, err := net.Listen("tcp", conn.LocalAddr().String())
+		if err == nil {
+			return conn, ln, nil
+		}
+		conn.Close()
+		if (port != "0" && port != "") || attempt == 8 {
+			return nil, nil, err
+		}
+	}
 }
 
 // reader is the socket intake loop: read, admit or shed, enqueue.
@@ -262,12 +303,43 @@ func (s *Server) worker(conn net.PacketConn, shard int) {
 		s.Plane.Metrics.ReadBatch.Observe(float64(len(batch)))
 		for _, it := range batch {
 			out = r.Respond(out[:0], (*it.buf)[:it.n])
+			if len(out) > maxUDP {
+				out = truncate(out)
+			}
 			if out != nil {
 				conn.WriteTo(out, it.from) //nolint:errcheck // best-effort UDP reply
 			}
 			s.pool.Put(it.buf)
 		}
 	}
+}
+
+// maxUDP is the DNS/UDP payload limit (RFC 1035 §4.2.1). The plane
+// negotiates no larger EDNS(0) size, so the limit holds for every
+// query.
+const maxUDP = 512
+
+// truncate cuts an oversize UDP answer down to its header and question
+// section and sets TC, telling the resolver to ask again over TCP
+// (RFC 1035 §4.1.1, RFC 7766 §5). Response questions are never
+// compressed: the fast path echoes the query's and the slow path packs
+// them whole. If the questions alone do not fit, only the header goes.
+func truncate(resp []byte) []byte {
+	end := 12
+	for n := binary.BigEndian.Uint16(resp[4:]); n > 0 && end < len(resp); n-- {
+		for end < len(resp) && resp[end] != 0 {
+			end += 1 + int(resp[end])
+		}
+		end += 5 // root label, QTYPE, QCLASS
+	}
+	if end > maxUDP || end > len(resp) {
+		end = 12
+		resp[4], resp[5] = 0, 0
+	}
+	resp = resp[:end]
+	resp[2] |= 0x02 // TC
+	clear(resp[6:12])
+	return resp
 }
 
 // drain appends whatever is already queued, up to the batch bound,
@@ -338,8 +410,8 @@ func (s *Server) isStopping() bool {
 	return s.closed || s.draining
 }
 
-// Close force-closes the socket. Idempotent and safe to call
-// concurrently with Shutdown and with queries in flight.
+// Close force-closes the sockets and every TCP session. Idempotent and
+// safe to call concurrently with Shutdown and with queries in flight.
 func (s *Server) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -347,15 +419,21 @@ func (s *Server) Close() error {
 		return nil
 	}
 	s.closed = true
+	var err error
 	if s.conn != nil {
-		return s.conn.Close()
+		err = s.conn.Close()
+		s.ln.Close()
 	}
-	return nil
+	for c := range s.tcpConns {
+		c.Close()
+	}
+	return err
 }
 
-// Shutdown drains the server: readers stop intake, workers answer
-// everything already admitted, then the socket closes. When ctx
-// expires remaining work is force-closed.
+// Shutdown drains the server: the TCP listener closes, UDP readers
+// stop intake, workers answer everything already admitted, and each
+// TCP session finishes the query it is answering; then the sockets
+// close. When ctx expires remaining work is force-closed.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.mu.Lock()
 	if s.closed {
@@ -367,7 +445,14 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		// Nudge readers out of their blocking read without closing the
 		// socket under an in-flight reply.
 		if s.conn != nil {
+			s.ln.Close()
 			s.conn.SetReadDeadline(s.clock()()) //nolint:errcheck
+		}
+		// Parked TCP sessions (waiting for the next pipelined query)
+		// wake the same way; a query whose bytes have not all arrived is
+		// not yet in flight, so abandoning it is correct.
+		for c := range s.tcpConns {
+			c.SetReadDeadline(s.clock()()) //nolint:errcheck
 		}
 	}
 	s.mu.Unlock()
@@ -389,7 +474,10 @@ func (s *Server) Shutdown(ctx context.Context) error {
 // clientKey is the fairness identity of a peer: its IP, so one host
 // opening many sockets still lands in one bucket.
 func clientKey(addr net.Addr) string {
-	if a, ok := addr.(*net.UDPAddr); ok {
+	switch a := addr.(type) {
+	case *net.UDPAddr:
+		return a.IP.String()
+	case *net.TCPAddr:
 		return a.IP.String()
 	}
 	if host, _, err := net.SplitHostPort(addr.String()); err == nil {

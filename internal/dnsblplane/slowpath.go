@@ -18,9 +18,10 @@ func (r *Responder) slowOrDrop(dst, raw []byte) []byte {
 
 // slow answers the query shapes the wire fast path refuses to guess
 // at — multiple questions, non-query opcodes, compression pointers or
-// malformed labels in the question name — through the full
-// internal/dnsbl codec, reproducing the single-feed server's semantics
-// (including mustPack's degrade-to-bare-FORMERR behaviour) exactly.
+// malformed labels in the question name, missing or unusual trailing
+// records — through the full internal/dnsbl codec, reproducing the
+// reference dnsbl.Handler's semantics (including mustPack's
+// degrade-to-bare-FORMERR behaviour) exactly.
 // These shapes are rare on a healthy wire, so allocating here is fine.
 func (r *Responder) slow(dst, raw []byte) []byte {
 	p := r.p
@@ -85,8 +86,8 @@ func (r *Responder) slow(dst, raw []byte) []byte {
 	return appendPack(dst, resp)
 }
 
-// appendPack serializes a response onto dst, degrading like the legacy
-// server's mustPack: when the echoed question cannot survive the
+// appendPack serializes a response onto dst, degrading like the
+// reference handler's mustPack: when the echoed question cannot survive the
 // dotted-string round trip, answer a bare FORMERR with no question
 // section rather than drop.
 func appendPack(dst []byte, m *dnsbl.Message) []byte {

@@ -82,7 +82,7 @@ func (q *queue) badHelper() int {
 	return q.park() // want "call to queue.park, which can block while holding q.mu"
 }
 
-// okUnlockThenPark is the sanctioned overload.Queue.PopContext shape:
+// okUnlockThenPark is the sanctioned shape:
 // give the lock back before parking.
 func (q *queue) okUnlockThenPark() int {
 	q.mu.Lock()

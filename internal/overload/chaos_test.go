@@ -26,6 +26,7 @@ import (
 	"time"
 
 	"tasterschoice/internal/dnsbl"
+	"tasterschoice/internal/dnsblplane"
 	"tasterschoice/internal/domain"
 	"tasterschoice/internal/faultnet"
 	"tasterschoice/internal/feeds"
@@ -61,23 +62,32 @@ func chaosDomain(i int) string { return fmt.Sprintf("spamdomain%03d.com", i) }
 
 const chaosZone = "dbl.example"
 
-// startFloodTarget wires a queued, gated DNSBL server the way
-// cmd/dnsblserve -workers does, with a bulk-class rate low enough
-// that a flood is guaranteed to shed.
-func startFloodTarget(t *testing.T) (*dnsbl.Server, net.Addr, overload.GateMetrics) {
+// startFloodTarget wires a gated DNSBL plane server the way
+// cmd/dnsblserve -workers -queue -rate does, with a bulk-class rate low
+// enough that a flood is guaranteed to shed.
+func startFloodTarget(t *testing.T) (*dnsblplane.Server, net.Addr, overload.GateMetrics) {
 	t.Helper()
 	reg := obs.NewRegistry()
 	gm := overload.NewGateMetrics(reg, "dnsbl")
-	srv := dnsbl.NewServer(chaosZone, dnsbl.FeedZone{Feed: chaosFeed(64)})
-	srv.Workers = 4
-	srv.QueueDepth = 64
-	srv.QueueMetrics = overload.NewQueueMetrics(reg, "dnsbl")
-	srv.Admission = overload.NewGate(overload.GateConfig{
-		Rate:    [overload.NumPriorities]float64{overload.Bulk: 2000},
-		Burst:   [overload.NumPriorities]float64{overload.Bulk: 64},
-		Seed:    1709,
-		Metrics: gm,
-	})
+	plane, err := dnsblplane.New(dnsblplane.Config{Zones: []dnsblplane.ZoneConfig{{Suffix: chaosZone}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	plane.Metrics = dnsblplane.WireMetrics(reg)
+	if _, err := plane.LoadFeed(chaosZone, chaosFeed(64)); err != nil {
+		t.Fatal(err)
+	}
+	srv := &dnsblplane.Server{
+		Plane:      plane,
+		Workers:    4,
+		QueueDepth: 64,
+		Admission: overload.NewGate(overload.GateConfig{
+			Rate:    [overload.NumPriorities]float64{overload.Bulk: 2000},
+			Burst:   [overload.NumPriorities]float64{overload.Bulk: 64},
+			Seed:    1709,
+			Metrics: gm,
+		}),
+	}
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -211,7 +221,7 @@ func TestChaosOverloadDNSBLFloodGolden(t *testing.T) {
 			shed := int64(0)
 			for _, r := range []overload.ShedReason{
 				overload.ShedCapacity, overload.ShedRate,
-				overload.ShedFairness, overload.ShedDeadline,
+				overload.ShedFairness,
 			} {
 				shed += gm.Shed[overload.Bulk][r].Value()
 			}
@@ -281,7 +291,7 @@ func TestChaosOverloadDNSBLDrainMidFlood(t *testing.T) {
 	}()
 
 	// Let the flood actually land before pulling the plug.
-	for srv.Queries() == 0 {
+	for srv.Plane.Metrics.Queries.Value() == 0 {
 		wallSleep(time.Millisecond)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)

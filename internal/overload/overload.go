@@ -1,7 +1,7 @@
 // Package overload is the serving plane's admission-control and
-// graceful-degradation layer: bounded work queues with CoDel-style
-// queue-deadline shedding, token-bucket rate limits, per-client
-// fairness buckets, priority classes, and deadline-propagation
+// graceful-degradation layer: token-bucket rate limits, per-client
+// fairness buckets, priority classes (with the headroom shares callers
+// apply to their own bounded queues), and deadline-propagation
 // helpers.
 //
 // The paper's real-world counterparts — the dbl/uribl blacklist zones,
@@ -11,8 +11,9 @@
 // *shedding*, not queuing, preserves service: a server that accepts
 // unbounded work degrades for everyone at once, while one that sheds
 // the excess cheaply keeps latency bounded for the traffic it accepts.
-// This package centralizes the shed policy so dnsbl, smtpd, feedsync,
-// webhost and the distsweep coordinator all degrade the same way.
+// This package centralizes the shed policy so dnsblplane, smtpd,
+// feedsync, webhost and the distsweep coordinator all degrade the same
+// way.
 //
 // Determinism: nothing here consumes ambient randomness or hidden
 // clocks. Every decision is a pure function of the injected Clock and
