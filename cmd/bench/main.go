@@ -1,6 +1,7 @@
-// Command bench measures the hot analysis and simulation paths against
-// their pinned serial references and emits a machine-readable
-// BENCH_<rev>.json next to a human-readable table.
+// Command bench measures the cold end-to-end pipeline and the hot
+// analysis and simulation paths against their pinned serial references
+// and emits a machine-readable BENCH_<rev>.json next to a
+// human-readable table.
 //
 // Usage:
 //
@@ -22,6 +23,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/exec"
 	"runtime"
@@ -30,6 +32,7 @@ import (
 
 	"tasterschoice/internal/analysis"
 	"tasterschoice/internal/benchref"
+	"tasterschoice/internal/core"
 	"tasterschoice/internal/ecosystem"
 	"tasterschoice/internal/mailflow"
 	"tasterschoice/internal/simulate"
@@ -247,6 +250,20 @@ func measure(scenario, rev string) *Report {
 		rep.Benchmarks = append(rep.Benchmarks, bench)
 	}
 
+	// The cold pipeline a user pays for, as cmd/tasters runs it: each op
+	// generates a fresh world, collects, labels and renders the full
+	// report, which builds the index. The entries below reuse the warm
+	// world above, so only this one sees first-intern costs.
+	run("repro_e2e", func() {
+		ds, err := sc.Run()
+		if err != nil {
+			fatalf("cold pipeline: %v", err)
+		}
+		if err := core.NewStudy(ds).WriteReport(io.Discard); err != nil {
+			fatalf("cold report: %v", err)
+		}
+	}, nil)
+
 	// Feed collection: the parallel chunked engine vs the pre-parallel
 	// engine pinned in internal/benchref.
 	run("dataset_build",
@@ -277,9 +294,9 @@ func measure(scenario, rev string) *Report {
 			}
 		})
 
-	// Crawl labeling: concurrent vs one worker.
+	// Crawl labeling: one worker per CPU vs one worker.
 	run("labeling",
-		func() { analysis.BuildLabelsConcurrent(world, res, 0) },
+		func() { analysis.BuildLabelsConcurrent(world, res, runtime.GOMAXPROCS(0)) },
 		func() { analysis.BuildLabelsConcurrent(world, res, 1) })
 	run("labeling_w4",
 		func() { analysis.BuildLabelsConcurrent(world, res, 4) },

@@ -39,15 +39,22 @@ const (
 	pageMask  = pageSize - 1
 )
 
-type page [pageSize]string
+// page holds pageSize symbols and, beside each, the ID of its derived
+// "http://<symbol>/" URL (see AutoURL; 0 means not yet derived). The
+// URL cache lives in the pages so it grows with them: interning a
+// symbol never regrows or copies it. url is allocated on a page's
+// first AutoURL, so tables that never derive URLs do not pay for it,
+// and is read and written only under the table's mutex; Lookup reads
+// only strs.
+type page struct {
+	strs [pageSize]string
+	url  *[pageSize]ID
+}
 
 // Table is an append-only string interner.
 type Table struct {
 	mu  sync.Mutex
 	ids map[string]ID
-	// auto caches the ID of the derived "http://<symbol>/" URL for
-	// each symbol (see AutoURL); 0 means not yet derived.
-	auto []ID
 
 	// pages is the published page list; n is the published symbol
 	// count. A slot is written before n covers it, and pages is
@@ -116,7 +123,7 @@ func (t *Table) add(s string) ID {
 	// published by n.Store below, not by the page list — readers never
 	// index past n, so the "mutation" is invisible until then.
 	//lint:allow publishedmut -- slot id is published by n.Store, not pages.Store; readers never read past n
-	(*pages)[pi][id&pageMask] = s
+	(*pages)[pi].strs[id&pageMask] = s
 	t.ids[s] = id
 	t.n.Store(uint32(id) + 1) // publish after the slot write
 	return id
@@ -130,7 +137,7 @@ func (t *Table) Lookup(id ID) string {
 		panic("symtab: Lookup of unassigned ID")
 	}
 	pages := t.pages.Load()
-	return (*pages)[id>>pageShift][id&pageMask]
+	return (*pages)[id>>pageShift].strs[id&pageMask]
 }
 
 // Find returns the ID for s without interning it. Unlike Lookup it
@@ -145,22 +152,20 @@ func (t *Table) Find(s string) (ID, bool) {
 
 // AutoURL returns the ID of the derived URL "http://<s>/" where s is
 // id's symbol — the URL every honeypot-style feed synthesizes for a
-// bare reported domain. The derivation is cached per symbol, so steady
-// state is one array read with no string building. Like Intern it must
-// only be called from serial code.
+// bare reported domain. The derivation is cached in id's page slot, so
+// steady state is one array read with no string building, and a miss
+// costs one string build and at most one new symbol. Like Intern it
+// must only be called from serial code.
 func (t *Table) AutoURL(id ID) ID {
 	t.mu.Lock()
-	if int(id) < len(t.auto) {
-		if u := t.auto[id]; u != 0 {
-			t.mu.Unlock()
-			return u
-		}
-	} else {
-		grown := make([]ID, t.n.Load())
-		copy(grown, t.auto)
-		t.auto = grown
+	p := t.pageLocked(id)
+	if p.url == nil {
+		p.url = new([pageSize]ID)
+	} else if u := p.url[id&pageMask]; u != 0 {
+		t.mu.Unlock()
+		return u
 	}
-	s := t.lookupLocked(id)
+	s := p.strs[id&pageMask]
 	buf := make([]byte, 0, len("http://")+len(s)+1)
 	buf = append(buf, "http://"...)
 	buf = append(buf, s...)
@@ -169,15 +174,16 @@ func (t *Table) AutoURL(id ID) ID {
 	if !ok {
 		u = t.add(string(buf))
 	}
-	t.auto[id] = u
+	p.url[id&pageMask] = u
 	t.mu.Unlock()
 	return u
 }
 
-// lookupLocked is Lookup for callers already holding mu.
-func (t *Table) lookupLocked(id ID) string {
+// pageLocked returns the page holding id for callers already holding
+// mu. Out-of-range IDs panic, as in Lookup.
+func (t *Table) pageLocked(id ID) *page {
 	if uint32(id) >= t.n.Load() {
 		panic("symtab: Lookup of unassigned ID")
 	}
-	return (*t.pages.Load())[id>>pageShift][id&pageMask]
+	return (*t.pages.Load())[id>>pageShift]
 }

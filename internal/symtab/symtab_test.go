@@ -2,6 +2,7 @@ package symtab
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 )
@@ -83,6 +84,28 @@ func TestAutoURL(t *testing.T) {
 	}
 }
 
+// TestAutoURLAcrossPages derives URLs for symbols on several pages,
+// interleaved with the new URL symbols they add, and checks every
+// cached derivation on a second pass.
+func TestAutoURLAcrossPages(t *testing.T) {
+	tab := New()
+	const n = 3*pageSize + 17
+	ids := make([]ID, n)
+	urls := make([]ID, n)
+	for i := range ids {
+		ids[i] = tab.Intern(fmt.Sprintf("domain-%d.com", i))
+		urls[i] = tab.AutoURL(ids[i])
+	}
+	for i, id := range ids {
+		if got := tab.AutoURL(id); got != urls[i] {
+			t.Fatalf("AutoURL(%d) = %d, first call gave %d", id, got, urls[i])
+		}
+		if want := fmt.Sprintf("http://domain-%d.com/", i); tab.Lookup(urls[i]) != want {
+			t.Fatalf("AutoURL(%d) string = %q, want %q", id, tab.Lookup(urls[i]), want)
+		}
+	}
+}
+
 func TestLookupPanicsOnUnassignedID(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -127,5 +150,38 @@ func TestConcurrentLookupDuringIntern(t *testing.T) {
 	wg.Wait()
 	if tab.Len() != total+1 {
 		t.Fatalf("Len = %d, want %d", tab.Len(), total+1)
+	}
+}
+
+// internPoison interns k fresh symbols on a fresh table, each followed
+// by AutoURL — the pattern of the engine's serial poison and junk
+// phases — and returns the bytes allocated doing it.
+func internPoison(k int) uint64 {
+	names := make([]string, k)
+	for i := range names {
+		names[i] = fmt.Sprintf("poison-%d.example", i)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	tab := New()
+	for _, s := range names {
+		tab.AutoURL(tab.Intern(s))
+	}
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestAutoURLAllocationLinear is a complexity guard: doubling the
+// number of fresh symbols interned through AutoURL must roughly double
+// the bytes allocated. A cache that is regrown to the table's exact
+// length on every miss copies the whole cache per symbol, which is
+// quadratic and shows here as a ~4x ratio.
+func TestAutoURLAllocationLinear(t *testing.T) {
+	const k = 4096
+	small, large := internPoison(k), internPoison(2*k)
+	ratio := float64(large) / float64(small)
+	t.Logf("allocated %d B for k=%d, %d B for k=%d (ratio %.2f)", small, k, large, 2*k, ratio)
+	if ratio > 2.5 {
+		t.Fatalf("AutoURL allocation grew %.2fx from k=%d to k=%d; want <= 2.5x (linear)", ratio, k, 2*k)
 	}
 }
