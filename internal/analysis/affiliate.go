@@ -3,58 +3,48 @@ package analysis
 import (
 	"fmt"
 	"sort"
-
-	"tasterschoice/internal/domain"
-	"tasterschoice/internal/feeds"
 )
 
-// feedPrograms returns the set of affiliate programs visible in a
-// feed's tagged domains, keyed by program id rendered as a string (the
-// Matrix machinery is string-set based).
-func feedPrograms(ds *Dataset, name string) map[string]bool {
-	out := make(map[string]bool)
-	ds.Feed(name).Each(func(d domain.Name, _ feeds.DomainStat) {
-		l := ds.Labels.Get(d)
-		if l != nil && l.TaggedClean() && l.Program >= 0 {
-			out[fmt.Sprintf("p%d", l.Program)] = true
-		}
-	})
-	return out
+// taggedKeys returns, per feed in canonical order, the set of keys
+// key yields over the feed's tagged domains ("" yields nothing).
+func taggedKeys(ds *Dataset, key func(l *Label) string) []map[string]bool {
+	ix := ds.Index()
+	order := ds.Result.Order
+	sets := make([]map[string]bool, len(order))
+	for i, name := range order {
+		set := make(map[string]bool)
+		ix.classFeed(ClassTagged, name).Each(func(id int) {
+			if k := key(ix.label(id)); k != "" {
+				set[k] = true
+			}
+		})
+		sets[i] = set
+	}
+	return sets
 }
 
-// feedAffiliateKeys returns the RX affiliate identifiers visible in a
-// feed's tagged domains.
-func feedAffiliateKeys(ds *Dataset, name string) map[string]bool {
-	out := make(map[string]bool)
-	ds.Feed(name).Each(func(d domain.Name, _ feeds.DomainStat) {
-		l := ds.Labels.Get(d)
-		if l != nil && l.TaggedClean() && l.AffiliateKey != "" {
-			out[l.AffiliateKey] = true
-		}
-	})
-	return out
+// programKey renders a tagged domain's affiliate program id as a set
+// key (the Matrix machinery is string-set based).
+func programKey(l *Label) string {
+	if l.Program < 0 {
+		return ""
+	}
+	return fmt.Sprintf("p%d", l.Program)
 }
+
+// affiliateKey is a tagged domain's RX affiliate identifier.
+func affiliateKey(l *Label) string { return l.AffiliateKey }
 
 // ProgramCoverage computes Figure 4: the pairwise affiliate-program
 // coverage matrix.
 func ProgramCoverage(ds *Dataset) *Matrix {
-	order := ds.Result.Order
-	sets := make([]map[string]bool, len(order))
-	for i, name := range order {
-		sets[i] = feedPrograms(ds, name)
-	}
-	return NewMatrix(order, sets)
+	return NewMatrix(ds.Result.Order, taggedKeys(ds, programKey))
 }
 
 // AffiliateCoverage computes Figure 5: the pairwise RX-Promotion
 // affiliate-identifier coverage matrix.
 func AffiliateCoverage(ds *Dataset) *Matrix {
-	order := ds.Result.Order
-	sets := make([]map[string]bool, len(order))
-	for i, name := range order {
-		sets[i] = feedAffiliateKeys(ds, name)
-	}
-	return NewMatrix(order, sets)
+	return NewMatrix(ds.Result.Order, taggedKeys(ds, affiliateKey))
 }
 
 // RevenueRow is one feed's bar in Figure 6.
@@ -82,9 +72,8 @@ func RevenueCoverage(ds *Dataset) (rows []RevenueRow, totalRevenue float64) {
 		}
 	}
 	union := make(map[string]bool)
-	for _, name := range ds.Result.Order {
-		keys := feedAffiliateKeys(ds, name)
-		row := RevenueRow{Name: name, Affiliates: len(keys)}
+	for i, keys := range taggedKeys(ds, affiliateKey) {
+		row := RevenueRow{Name: ds.Result.Order[i], Affiliates: len(keys)}
 		// Sum in sorted key order: float addition is not associative,
 		// so map-order summation would vary in the last ulp per run.
 		for _, k := range sortedKeys(keys) {

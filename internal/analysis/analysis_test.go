@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"math"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -50,22 +51,40 @@ func testDataset(t *testing.T) *Dataset {
 
 func TestLabelsCoverUnion(t *testing.T) {
 	ds := testDataset(t)
+	ls := ds.Labels
+	union := map[domain.Name]bool{}
 	for _, name := range ds.Result.Order {
 		for _, d := range ds.Feed(name).Domains() {
-			if ds.Labels.Get(d) == nil {
+			if ls.Get(d) == nil {
 				t.Fatalf("feed %s domain %s unlabeled", name, d)
 			}
+			union[d] = true
 		}
 	}
-	if len(ds.Union()) != ds.Labels.Len() {
-		t.Fatalf("union %d vs labels %d", len(ds.Union()), ds.Labels.Len())
+	if len(union) != ls.Len() || len(ls.Domains) != ls.Len() {
+		t.Fatalf("union %d vs labels %d, domains %d", len(union), ls.Len(), len(ls.Domains))
+	}
+	// Ids are name ranks, and the symbol mapping round-trips.
+	for id, d := range ls.Domains {
+		if id > 0 && ls.Domains[id-1] >= d {
+			t.Fatalf("ids not in name order at %d: %s >= %s", id, ls.Domains[id-1], d)
+		}
+		if got, ok := ls.id(ls.syms[id]); !ok || int(got) != id {
+			t.Fatalf("%s: symbol maps back to id %d (ok=%v), want %d", d, got, ok, id)
+		}
+		if ls.Get(d) != &ls.rows[id] {
+			t.Fatalf("Get(%s) is not row %d", d, id)
+		}
+	}
+	if ls.Get("no-such-domain.invalid") != nil {
+		t.Fatal("Get of a domain in no feed returned a label")
 	}
 }
 
 func TestLabelConsistency(t *testing.T) {
 	ds := testDataset(t)
 	var taggedCount, liveCount, httpCount int
-	for _, d := range ds.Union() {
+	for _, d := range ds.Labels.Domains {
 		l := ds.Labels.Get(d)
 		if l.Tagged && !l.HTTP {
 			t.Fatalf("%s tagged but not HTTP-live", d)
@@ -555,9 +574,15 @@ func TestBuildLabelsWorkerCountInvariant(t *testing.T) {
 	if serial.Len() != parallel.Len() {
 		t.Fatalf("label counts differ: %d vs %d", serial.Len(), parallel.Len())
 	}
-	for _, d := range ds.Union() {
-		a, b := serial.Get(d), parallel.Get(d)
-		if *a != *b {
+	// The id space itself must not depend on the worker count.
+	if !slices.Equal(serial.Domains, parallel.Domains) {
+		t.Fatal("domain id order differs across worker counts")
+	}
+	if !slices.Equal(serial.syms, parallel.syms) || !slices.Equal(serial.ids, parallel.ids) {
+		t.Fatal("symbol↔id mapping differs across worker counts")
+	}
+	for id, d := range serial.Domains {
+		if a, b := serial.rows[id], parallel.rows[id]; a != b {
 			t.Fatalf("label for %s differs: %+v vs %+v", d, a, b)
 		}
 	}

@@ -1,9 +1,9 @@
 package analysis
 
 import (
-	"tasterschoice/internal/domain"
+	"tasterschoice/internal/bitset"
 	"tasterschoice/internal/ecosystem"
-	"tasterschoice/internal/feeds"
+	"tasterschoice/internal/symtab"
 )
 
 // CategoryRow is one feed's tagged-domain composition across the three
@@ -24,15 +24,12 @@ func (r CategoryRow) Total() int { return r.Pharma + r.Replica + r.Software }
 // CategoryBreakdown counts each feed's tagged domains per goods
 // category.
 func CategoryBreakdown(ds *Dataset) []CategoryRow {
+	ix := ds.Index()
 	out := make([]CategoryRow, 0, len(ds.Result.Order))
 	for _, name := range ds.Result.Order {
 		row := CategoryRow{Name: name}
-		ds.Feed(name).Each(func(d domain.Name, _ feeds.DomainStat) {
-			l := ds.Labels.Get(d)
-			if l == nil || !l.TaggedClean() {
-				return
-			}
-			switch l.Category {
+		ix.classFeed(ClassTagged, name).Each(func(id int) {
+			switch ix.label(id).Category {
 			case ecosystem.CategoryPharma:
 				row.Pharma++
 			case ecosystem.CategoryReplica:
@@ -63,22 +60,13 @@ type ShareRow struct {
 // CategoryShares computes per-feed category volume shares for the
 // volume feeds, plus the oracle's ground truth as the "Mail" row.
 func CategoryShares(ds *Dataset) []ShareRow {
-	categoryOf := func(d string) (ecosystem.Category, bool) {
-		l := ds.Labels.Get(domain.Name(d))
-		if l == nil || !l.TaggedClean() {
-			return 0, false
-		}
-		return l.Category, true
-	}
-	rowFrom := func(name string, counts map[string]int64) ShareRow {
+	ix := ds.Index()
+	rowFrom := func(name string, ids *bitset.Set, volume func(symtab.ID) int64) ShareRow {
 		var pharma, replica, software, total int64
-		for d, c := range counts {
-			cat, ok := categoryOf(d)
-			if !ok {
-				continue
-			}
+		ids.Each(func(id int) {
+			c := volume(ix.sym(id))
 			total += c
-			switch cat {
+			switch ix.label(id).Category {
 			case ecosystem.CategoryPharma:
 				pharma += c
 			case ecosystem.CategoryReplica:
@@ -86,7 +74,7 @@ func CategoryShares(ds *Dataset) []ShareRow {
 			case ecosystem.CategorySoftware:
 				software += c
 			}
-		}
+		})
 		row := ShareRow{Name: name}
 		if total > 0 {
 			row.PharmaShare = float64(pharma) / float64(total)
@@ -97,14 +85,9 @@ func CategoryShares(ds *Dataset) []ShareRow {
 	}
 
 	// Ground truth first: oracle volumes over the tagged union.
-	union := taggedUnion(ds)
-	mailCounts := make(map[string]int64)
-	for d := range union {
-		mailCounts[d] = ds.Result.Oracle.Volume(domain.Name(d))
-	}
-	rows := []ShareRow{rowFrom(MailColumn, mailCounts)}
+	rows := []ShareRow{rowFrom(MailColumn, ix.class(ClassTagged).bits, ds.Result.Oracle.VolumeID)}
 	for _, name := range VolumeFeeds(ds) {
-		rows = append(rows, rowFrom(name, ds.Feed(name).Counts()))
+		rows = append(rows, rowFrom(name, ix.classFeed(ClassTagged, name), feedCount(ds.Feed(name))))
 	}
 	return rows
 }

@@ -1,8 +1,6 @@
 package analysis
 
 import (
-	"tasterschoice/internal/domain"
-	"tasterschoice/internal/feeds"
 	"tasterschoice/internal/parallel"
 	"tasterschoice/internal/stats"
 )
@@ -48,18 +46,6 @@ func (c DomainClass) member(l *Label) bool {
 	}
 }
 
-// FeedDomains returns the feed's domains restricted to the class, as a
-// set of plain strings.
-func FeedDomains(ds *Dataset, name string, class DomainClass) map[string]bool {
-	out := make(map[string]bool)
-	ds.Feed(name).EachUnordered(func(d domain.Name, _ feeds.DomainStat) {
-		if class.member(ds.Labels.Get(d)) {
-			out[string(d)] = true
-		}
-	})
-	return out
-}
-
 // CoverageRow is one feed's slice of Table 3: distinct and exclusive
 // domain counts for one domain class.
 type CoverageRow struct {
@@ -71,8 +57,8 @@ type CoverageRow struct {
 // Coverage computes Table 3 for one domain class. Exclusive counts
 // domains occurring in exactly one feed.
 //
-// The computation runs over the dataset's interned-domain bitsets
-// (see Index): Total is a popcount of the feed's class-filtered set
+// The computation runs over the dataset's per-feed id bitsets (see
+// Index): Total is a popcount of the feed's class-filtered set
 // and Exclusive a popcount of that set minus the ids the once/multi
 // accumulators saw in two or more feeds. Rows are computed one feed
 // per worker; CoverageSerial is the pinned reference implementation
@@ -156,7 +142,7 @@ func NewMatrix(names []string, sets []map[string]bool) *Matrix {
 }
 
 // Intersections computes the pairwise domain-intersection matrix
-// (Figure 2) for a domain class. Pairwise counts run over the interned
+// (Figure 2) for a domain class. Pairwise counts run over the id
 // bitsets, sharded one row per worker; IntersectionsSerial is the
 // pinned reference implementation.
 func Intersections(ds *Dataset, class DomainClass) *Matrix {

@@ -1,35 +1,27 @@
 package analysis
 
 import (
-	"sort"
+	"slices"
 	"sync"
 
 	"tasterschoice/internal/bitset"
-	"tasterschoice/internal/domain"
-	"tasterschoice/internal/feeds"
+	"tasterschoice/internal/mailflow"
 	"tasterschoice/internal/parallel"
+	"tasterschoice/internal/symtab"
 )
 
-// Index is the dataset's interned-domain view: every domain occurring
-// in any feed gets a dense integer id (assigned in sorted order, so
-// ids are stable across runs), and each feed's membership becomes a
-// bitset over those ids. The paper's coverage and intersection tables
-// — recomputed in full for every class, as list-comparison studies
-// must be — then reduce to word-wise AND/popcount passes that shard
-// across workers.
+// Index is the dataset's feed-membership view over the Labels id
+// space: each feed becomes a bitset over the ids. The paper's coverage
+// and intersection tables — recomputed in full for every class, as
+// list-comparison studies must be — then reduce to word-wise
+// AND/popcount passes that shard across workers, and every per-feed
+// walk visits ids (hence names) in ascending order.
 //
 // The index is built lazily on first use and cached; it assumes the
 // Dataset is immutable from that point on, which holds for every
 // dataset produced by simulate/NewDataset.
 type Index struct {
 	ds *Dataset
-	// Domains maps id → name, ascending; ByName inverts it.
-	Domains []domain.Name
-	ByName  map[domain.Name]int32
-	// labels[id] mirrors ds.Labels.Get(Domains[id]).
-	labels []*Label
-	// feedIDs[name] holds the feed's member ids, ascending.
-	feedIDs map[string][]int32
 	// feedBits[name] is the feed's membership bitset (class-unfiltered).
 	feedBits map[string]*bitset.Set
 
@@ -37,9 +29,9 @@ type Index struct {
 	classes   [3]*classView
 }
 
-// classView caches the per-class structures shared by Coverage and
-// Intersections: each feed's class-filtered bitset plus the
-// once/multi accumulators over the feed order.
+// classView caches the per-class structures shared by the tables and
+// figures: each feed's class-filtered bitset plus the once/multi
+// accumulators over the feed order.
 type classView struct {
 	bits *bitset.Set // ids in the class
 	// feed[i] = feedBits[order[i]] ∩ bits, indexed like Result.Order.
@@ -49,7 +41,7 @@ type classView struct {
 	unionSize   int
 }
 
-// Index returns the dataset's interned-domain index, building it on
+// Index returns the dataset's feed-membership index, building it on
 // first use with one worker per CPU.
 func (ds *Dataset) Index() *Index {
 	ds.idxOnce.Do(func() {
@@ -58,69 +50,42 @@ func (ds *Dataset) Index() *Index {
 	return ds.idx
 }
 
-// buildIndex interns the union of feed domains (which BuildLabels
-// labels exhaustively); label-only domains absent from every feed get
-// no id — they cannot appear in any table.
+// buildIndex sets each feed's member ids, one feed per worker.
 func buildIndex(ds *Dataset, workers int) *Index {
 	order := ds.Result.Order
-	ix := &Index{
-		ds:       ds,
-		feedIDs:  make(map[string][]int32, len(order)),
-		feedBits: make(map[string]*bitset.Set, len(order)),
-	}
-
-	union := make(map[domain.Name]struct{}, ds.Labels.Len())
-	for _, name := range order {
-		ds.Feed(name).EachUnordered(func(d domain.Name, _ feeds.DomainStat) {
-			union[d] = struct{}{}
-		})
-	}
-	ix.Domains = make([]domain.Name, 0, len(union))
-	for d := range union {
-		ix.Domains = append(ix.Domains, d)
-	}
-	sort.Slice(ix.Domains, func(i, j int) bool { return ix.Domains[i] < ix.Domains[j] })
-
-	n := len(ix.Domains)
-	ix.ByName = make(map[domain.Name]int32, n)
-	for i, d := range ix.Domains {
-		ix.ByName[d] = int32(i)
-	}
-	ix.labels = make([]*Label, n)
-	parallel.Ranges(workers, n, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			ix.labels[i] = ds.Labels.Get(ix.Domains[i])
-		}
-	})
-
-	// Per-feed id lists and bitsets, one feed per worker.
-	ids := make([][]int32, len(order))
+	ls := ds.Labels
 	bits := make([]*bitset.Set, len(order))
 	parallel.ForEach(workers, len(order), func(i int) {
-		f := ds.Feed(order[i])
-		list := make([]int32, 0, f.Unique())
-		b := bitset.New(n)
-		f.EachUnordered(func(d domain.Name, _ feeds.DomainStat) {
-			id := ix.ByName[d]
-			list = append(list, id)
-			b.Set(int(id))
+		b := bitset.New(ls.Len())
+		ds.Feed(order[i]).EachIDUnordered(func(sym symtab.ID, _ int64) {
+			if id, ok := ls.id(sym); ok {
+				b.Set(int(id))
+			}
 		})
-		sort.Slice(list, func(a, c int) bool { return list[a] < list[c] })
-		ids[i] = list
 		bits[i] = b
 	})
+	ix := &Index{ds: ds, feedBits: make(map[string]*bitset.Set, len(order))}
 	for i, name := range order {
-		ix.feedIDs[name] = ids[i]
 		ix.feedBits[name] = bits[i]
 	}
 	return ix
 }
 
-// Label returns the label for id (nil if the domain was unlabeled).
-func (ix *Index) Label(id int32) *Label { return ix.labels[id] }
+// label returns the label row for id.
+func (ix *Index) label(id int) *Label { return &ix.ds.Labels.rows[id] }
 
-// FeedIDs returns the feed's member ids in ascending order.
-func (ix *Index) FeedIDs(name string) []int32 { return ix.feedIDs[name] }
+// sym returns id's world-table symbol, the key feeds and the oracle
+// store.
+func (ix *Index) sym(id int) symtab.ID { return ix.ds.Labels.syms[id] }
+
+// classFeed returns the named feed's members in class c.
+func (ix *Index) classFeed(c DomainClass, name string) *bitset.Set {
+	i := slices.Index(ix.ds.Result.Order, name)
+	if i < 0 {
+		panic(&mailflow.UnknownFeedError{Name: name})
+	}
+	return ix.class(c).feed[i]
+}
 
 // class returns the cached per-class view, building it on first use.
 func (ix *Index) class(c DomainClass) *classView {
@@ -131,13 +96,13 @@ func (ix *Index) class(c DomainClass) *classView {
 }
 
 func (ix *Index) buildClass(c DomainClass, workers int) *classView {
-	n := len(ix.Domains)
+	n := ix.ds.Labels.Len()
 	cv := &classView{bits: bitset.New(n)}
 	// Membership bits: word-sharded, so each worker owns whole 64-bit
 	// words and no two workers read-modify-write the same one.
 	parallel.Ranges(workers, len(cv.bits.Words()), func(lo, hi int) {
 		for i := lo * 64; i < hi*64 && i < n; i++ {
-			if c.member(ix.labels[i]) {
+			if c.member(ix.label(i)) {
 				cv.bits.Set(i)
 			}
 		}

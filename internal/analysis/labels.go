@@ -18,6 +18,7 @@ package analysis
 
 import (
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 
@@ -26,6 +27,7 @@ import (
 	"tasterschoice/internal/feeds"
 	"tasterschoice/internal/mailflow"
 	"tasterschoice/internal/simclock"
+	"tasterschoice/internal/symtab"
 	"tasterschoice/internal/webcrawl"
 )
 
@@ -60,18 +62,33 @@ func (l *Label) Live() bool { return l.HTTP && !l.Benignish() }
 // definition (tagged minus Alexa/ODP).
 func (l *Label) TaggedClean() bool { return l.Tagged && !l.Benignish() }
 
-// Labels maps every domain occurring in any feed to its label. Labels
-// live in one contiguous slice indexed through a map, rather than one
-// heap object per domain.
+// Labels is the dataset's one domain id space. Every domain occurring
+// in any feed gets an id: its rank in ascending name order. Label rows,
+// the Index's bitsets and every figure are indexed by these ids, so a
+// walk over ids in ascending order visits domains in lexicographic
+// order — the canonical order for tie-breaks and float accumulation.
+// Feeds and the oracle store world-table symbols; syms and ids
+// translate between the two.
 type Labels struct {
-	idx  map[domain.Name]int32
-	rows []Label
+	// Domains maps id → name, ascending.
+	Domains []domain.Name
+	rows    []Label
+	// tab is the world symbol table the feeds are bound to; syms maps
+	// id → symbol and ids inverts it (symbol → id+1, 0 for symbols in
+	// no feed).
+	tab  *symtab.Table
+	syms []symtab.ID
+	ids  []int32
 }
 
 // Get returns the label for d (nil if d was in no feed).
 func (ls *Labels) Get(d domain.Name) *Label {
-	if i, ok := ls.idx[d]; ok {
-		return &ls.rows[i]
+	sym, ok := ls.tab.Find(string(d))
+	if !ok {
+		return nil
+	}
+	if id, ok := ls.id(sym); ok {
+		return &ls.rows[id]
 	}
 	return nil
 }
@@ -79,8 +96,17 @@ func (ls *Labels) Get(d domain.Name) *Label {
 // Len returns the number of labeled domains.
 func (ls *Labels) Len() int { return len(ls.rows) }
 
+// id returns the id of a world-table symbol (false if it is in no
+// feed).
+func (ls *Labels) id(sym symtab.ID) (int32, bool) {
+	if int(sym) >= len(ls.ids) || ls.ids[sym] == 0 {
+		return 0, false
+	}
+	return ls.ids[sym] - 1, true
+}
+
 // Dataset bundles everything the analyses consume. It is treated as
-// immutable once built; the analyses lazily attach an interned-domain
+// immutable once built; the analyses lazily attach the feed-membership
 // Index (see index.go) that the parallel table computations share.
 type Dataset struct {
 	World  *ecosystem.World
@@ -89,16 +115,6 @@ type Dataset struct {
 
 	idxOnce sync.Once
 	idx     *Index
-}
-
-// Union returns all labeled domains in sorted order.
-func (ds *Dataset) Union() []domain.Name {
-	out := make([]domain.Name, 0, ds.Labels.Len())
-	for d := range ds.Labels.idx {
-		out = append(out, d)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }
 
 // Feed returns the named feed.
@@ -124,48 +140,56 @@ func BuildLabelsConcurrent(w *ecosystem.World, res *mailflow.Result, workers int
 
 // BuildLabelsWith labels using caller-provided crawler instances — one
 // per worker — so the crawl can run over the in-process simulator or a
-// real-HTTP webhost crawler interchangeably.
+// real-HTTP webhost crawler interchangeably. Every feed must be bound
+// to the world's symbol table, as the collection engine binds them.
 func BuildLabelsWith(w *ecosystem.World, res *mailflow.Result, workers int,
 	newVisitor func() webcrawl.Visitor) *Labels {
 	if workers < 1 {
 		workers = 1
 	}
 	zoneWindow := zoneCheckWindow(w)
-	ls := &Labels{idx: make(map[domain.Name]int32)}
+	ls := &Labels{tab: w.Syms, ids: make([]int32, w.Syms.Len())}
 
-	// Collect the union of feed domains in deterministic (feed-order,
-	// then insertion-order) sequence. Sample URLs are not materialized
-	// here: labelOne pulls them per domain straight from the feeds, so
-	// no per-domain URL slices are built up front.
-	var domains []domain.Name
+	// The id space: the union of feed symbols, ranked by name.
 	for _, name := range res.Order {
-		res.Feed(name).EachUnordered(func(d domain.Name, _ feeds.DomainStat) {
-			if _, seen := ls.idx[d]; !seen {
-				ls.idx[d] = int32(len(domains))
-				domains = append(domains, d)
+		f := res.Feed(name)
+		if f.Syms() != ls.tab {
+			//lint:allow stringalloc -- fatal misuse path, reached at most once
+			panic("analysis: feed " + name + " is not bound to the world symbol table")
+		}
+		f.EachIDUnordered(func(sym symtab.ID, _ int64) {
+			if ls.ids[sym] == 0 {
+				ls.ids[sym] = 1
+				ls.syms = append(ls.syms, sym)
 			}
 		})
 	}
-	ls.rows = make([]Label, len(domains))
-	for i := range ls.rows {
-		ls.rows[i].Program = -1
-		ls.rows[i].Affiliate = -1
+	sort.Slice(ls.syms, func(i, j int) bool {
+		return ls.tab.Lookup(ls.syms[i]) < ls.tab.Lookup(ls.syms[j])
+	})
+	n := len(ls.syms)
+	ls.Domains = make([]domain.Name, n)
+	ls.rows = make([]Label, n)
+	for id, sym := range ls.syms {
+		ls.Domains[id] = domain.Name(ls.tab.Lookup(sym))
+		ls.ids[sym] = int32(id) + 1
+		ls.rows[id].Program = -1
+		ls.rows[id].Affiliate = -1
 	}
 
-	if workers > len(domains) {
-		workers = len(domains)
+	if workers > n {
+		workers = n
 	}
-	// Shard the domains across workers; every label is written only
-	// by its own worker, so no locking is needed.
+	// Shard the ids across workers; every label is written only by
+	// its own worker, so no locking is needed.
 	var wg sync.WaitGroup
 	for wk := 0; wk < workers; wk++ {
 		wg.Add(1)
 		go func(shard int) {
 			defer wg.Done()
 			crawler := newVisitor()
-			for i := shard; i < len(domains); i += workers {
-				d := domains[i]
-				labelOne(w, crawler, zoneWindow, d, res, &ls.rows[ls.idx[d]])
+			for id := shard; id < n; id += workers {
+				ls.labelOne(w, crawler, zoneWindow, res, int32(id))
 			}
 		}(wk)
 	}
@@ -173,12 +197,14 @@ func BuildLabelsWith(w *ecosystem.World, res *mailflow.Result, workers int,
 	return ls
 }
 
-// labelOne fills in one domain's label. It gathers the distinct
-// sample URLs the feeds saw for d in canonical feed order (URL feeds
-// preserve redirection context) into a stack buffer; a domain no feed
-// attached a URL to gets the paper's bare "http://domain/" visit.
-func labelOne(w *ecosystem.World, crawler webcrawl.Visitor,
-	zoneWindow simclock.Window, d domain.Name, res *mailflow.Result, label *Label) {
+// labelOne fills in one domain's label. It visits the distinct sample
+// URLs the feeds saw for the domain, deduplicated by symbol in
+// canonical feed order (URL feeds preserve redirection context); a
+// domain no feed attached a URL to gets the paper's bare
+// "http://domain/" visit.
+func (ls *Labels) labelOne(w *ecosystem.World, crawler webcrawl.Visitor,
+	zoneWindow simclock.Window, res *mailflow.Result, id int32) {
+	d, sym, label := ls.Domains[id], ls.syms[id], &ls.rows[id]
 	label.InZoneTLD = w.Registry.Covers(d)
 	if label.InZoneTLD {
 		label.DNS = w.Registry.AppearedDuring(d, zoneWindow)
@@ -187,39 +213,33 @@ func labelOne(w *ecosystem.World, crawler webcrawl.Visitor,
 		label.Alexa = info.Alexa
 		label.ODP = info.ODP
 	}
-	var urlBuf [16]string
+	var urlBuf [16]symtab.ID
 	urls := urlBuf[:0]
 	for _, name := range res.Order {
-		s, ok := res.Feed(name).Stat(d)
-		if !ok || s.SampleURL == "" {
-			continue
+		if u, _ := res.Feed(name).SampleURLID(sym); u != 0 && !slices.Contains(urls, u) {
+			urls = append(urls, u)
 		}
-		dup := false
-		for _, u := range urls {
-			if u == s.SampleURL {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			urls = append(urls, s.SampleURL)
-		}
-	}
-	if len(urls) == 0 {
-		urls = append(urls, "http://"+string(d)+"/")
 	}
 	for _, u := range urls {
-		r := crawler.Visit(u)
-		if r.OK {
-			label.HTTP = true
-		}
-		if r.Tagged && !label.Tagged {
-			label.Tagged = true
-			label.Program = r.Program
-			label.Affiliate = r.Affiliate
-			label.AffiliateKey = r.AffiliateKey
-			label.Category = r.Category
-		}
+		label.record(crawler.Visit(ls.tab.Lookup(u)))
+	}
+	if len(urls) == 0 {
+		label.record(crawler.Visit("http://" + string(d) + "/"))
+	}
+}
+
+// record folds one crawl result into the label: any successful visit
+// marks HTTP, and the first tagged visit supplies the tag.
+func (l *Label) record(r webcrawl.Result) {
+	if r.OK {
+		l.HTTP = true
+	}
+	if r.Tagged && !l.Tagged {
+		l.Tagged = true
+		l.Program = r.Program
+		l.Affiliate = r.Affiliate
+		l.AffiliateKey = r.AffiliateKey
+		l.Category = r.Category
 	}
 }
 

@@ -1,8 +1,11 @@
 package analysis
 
 import (
+	"tasterschoice/internal/bitset"
+	"tasterschoice/internal/feeds"
 	"tasterschoice/internal/parallel"
 	"tasterschoice/internal/stats"
+	"tasterschoice/internal/symtab"
 )
 
 // VolumeFeeds returns the feeds whose per-domain counts carry volume
@@ -26,25 +29,35 @@ const MailColumn = "Mail"
 // feedTaggedDist returns a feed's empirical volume distribution over
 // its tagged domains.
 func feedTaggedDist(ds *Dataset, name string) stats.Dist {
-	tagged := FeedDomains(ds, name, ClassTagged)
+	return volumeDist(ds, ds.Index().classFeed(ClassTagged, name), feedCount(ds.Feed(name)))
+}
+
+// mailTaggedDist returns the oracle's volume distribution over the
+// tagged domains appearing in at least one feed (pi = 0 outside the
+// union, per the paper).
+func mailTaggedDist(ds *Dataset) stats.Dist {
+	return volumeDist(ds, ds.Index().class(ClassTagged).bits, ds.Result.Oracle.VolumeID)
+}
+
+// volumeDist is the empirical distribution of volume over the ids,
+// keyed by domain name.
+func volumeDist(ds *Dataset, ids *bitset.Set, volume func(symtab.ID) int64) stats.Dist {
+	ls := ds.Labels
 	counts := make(map[string]int64)
-	for d, c := range ds.Feed(name).Counts() {
-		if tagged[d] {
-			counts[d] = c
+	ids.Each(func(id int) {
+		if c := volume(ls.syms[id]); c > 0 {
+			counts[string(ls.Domains[id])] = c
 		}
-	}
+	})
 	return stats.NewDistFromCounts(counts)
 }
 
-// taggedUnion returns the union of tagged domains across all feeds.
-func taggedUnion(ds *Dataset) map[string]bool {
-	u := make(map[string]bool)
-	for _, name := range ds.Result.Order {
-		for d := range FeedDomains(ds, name, ClassTagged) {
-			u[d] = true
-		}
+// feedCount returns a feed's per-symbol sample count.
+func feedCount(f *feeds.Feed) func(symtab.ID) int64 {
+	return func(sym symtab.ID) int64 {
+		s, _ := f.StatID(sym)
+		return s.Count
 	}
-	return u
 }
 
 // PairwiseDist holds a symmetric pairwise comparison over the volume
@@ -102,10 +115,7 @@ func proportionInputs(ds *Dataset) ([]string, []stats.Dist) {
 	dists := make([]stats.Dist, len(names))
 	parallel.ForEach(0, len(names), func(i int) {
 		if i == 0 {
-			// The Mail distribution covers tagged domains appearing in
-			// at least one feed (pi = 0 outside the union, per the
-			// paper).
-			dists[0] = ds.Result.Oracle.Dist(taggedUnion(ds))
+			dists[0] = mailTaggedDist(ds)
 			return
 		}
 		dists[i] = feedTaggedDist(ds, names[i])

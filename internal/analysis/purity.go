@@ -28,8 +28,8 @@ type PurityRow struct {
 }
 
 // Purity computes Table 2, one feed row per worker. The per-feed
-// indicator sums walk the interned index's label array instead of
-// hashing domain strings; PuritySerial is the pinned reference.
+// indicator sums walk the feed's id bitset over the label rows instead
+// of hashing domain strings; PuritySerial is the pinned reference.
 func Purity(ds *Dataset) []PurityRow {
 	order := ds.Result.Order
 	ix := ds.Index()
@@ -37,11 +37,8 @@ func Purity(ds *Dataset) []PurityRow {
 	parallel.ForEach(0, len(order), func(i int) {
 		name := order[i]
 		var covered, dns, http, tagged, odp, alexa, total int
-		for _, id := range ix.FeedIDs(name) {
-			l := ix.Label(id)
-			if l == nil {
-				continue
-			}
+		ix.feedBits[name].Each(func(id int) {
+			l := ix.label(id)
 			total++
 			if l.InZoneTLD {
 				covered++
@@ -61,7 +58,7 @@ func Purity(ds *Dataset) []PurityRow {
 			if l.Alexa {
 				alexa++
 			}
-		}
+		})
 		out[i] = PurityRow{
 			Name:    name,
 			DNS:     stats.Fraction(dns, covered),

@@ -4,7 +4,6 @@ import (
 	"sort"
 	"time"
 
-	"tasterschoice/internal/domain"
 	"tasterschoice/internal/stats"
 )
 
@@ -38,30 +37,26 @@ type Reconstruction struct {
 // before testing overlap (rotation gaps hide in report latency).
 func ReconstructCampaigns(ds *Dataset, feedName string, slack time.Duration) Reconstruction {
 	type item struct {
-		d           domain.Name
+		id          int // ties within a program and start break by name
 		program     int
 		campaign    int
 		first, last time.Time
 		cluster     int
 	}
+	ix := ds.Index()
 	feed := ds.Feed(feedName)
 	var items []item
-	for d := range FeedDomains(ds, feedName, ClassTagged) {
-		dn := domain.Name(d)
-		l := ds.Labels.Get(dn)
-		info, ok := ds.World.Info(dn)
-		if l == nil || !ok || info.Campaign < 0 {
-			continue
+	ix.classFeed(ClassTagged, feedName).Each(func(id int) {
+		info, ok := ds.World.Info(ds.Labels.Domains[id])
+		if !ok || info.Campaign < 0 {
+			return
 		}
-		s, ok := feed.Stat(dn)
-		if !ok {
-			continue
-		}
+		s, _ := feed.StatID(ix.sym(id))
 		items = append(items, item{
-			d: dn, program: l.Program, campaign: info.Campaign,
+			id: id, program: ix.label(id).Program, campaign: info.Campaign,
 			first: s.First.Add(-slack), last: s.Last.Add(slack),
 		})
-	}
+	})
 	rec := Reconstruction{Feed: feedName, Domains: len(items)}
 	if len(items) == 0 {
 		return rec
@@ -75,7 +70,7 @@ func ReconstructCampaigns(ds *Dataset, feedName string, slack time.Duration) Rec
 		if !items[i].first.Equal(items[j].first) {
 			return items[i].first.Before(items[j].first)
 		}
-		return items[i].d < items[j].d
+		return items[i].id < items[j].id
 	})
 	cluster := -1
 	var curProgram int

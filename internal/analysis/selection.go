@@ -1,5 +1,7 @@
 package analysis
 
+import "tasterschoice/internal/bitset"
+
 // Greedy feed selection: the paper's §5 advice — "when working with
 // multiple feeds, the priority should be to obtain a set that is as
 // diverse as possible; additional feeds of the same type offer reduced
@@ -25,45 +27,35 @@ type SelectionStep struct {
 // contribution of domains in the given class, until every feed is
 // chosen. Ties break toward the canonical feed order.
 func GreedySelection(ds *Dataset, class DomainClass) []SelectionStep {
-	order := ds.Result.Order
-	sets := make(map[string]map[string]bool, len(order))
-	union := make(map[string]bool)
-	for _, name := range order {
-		s := FeedDomains(ds, name, class)
-		sets[name] = s
-		for d := range s {
-			union[d] = true
-		}
+	cv := ds.Index().class(class)
+	covered := bitset.New(ds.Labels.Len())
+	nw := len(covered.Words())
+	remaining := make([]int, len(ds.Result.Order))
+	for i := range remaining {
+		remaining[i] = i
 	}
-	covered := make(map[string]bool)
-	remaining := append([]string(nil), order...)
-	steps := make([]SelectionStep, 0, len(order))
+	steps := make([]SelectionStep, 0, len(remaining))
+	cumulative := 0
 	for len(remaining) > 0 {
 		bestIdx, bestGain := 0, -1
-		for i, name := range remaining {
-			gain := 0
-			for d := range sets[name] {
-				if !covered[d] {
-					gain++
-				}
-			}
-			if gain > bestGain {
+		for i, f := range remaining {
+			set := cv.feed[f]
+			if gain := set.AndNotCountRange(set, covered, 0, nw); gain > bestGain {
 				bestIdx, bestGain = i, gain
 			}
 		}
-		name := remaining[bestIdx]
+		f := remaining[bestIdx]
 		remaining = append(remaining[:bestIdx], remaining[bestIdx+1:]...)
-		for d := range sets[name] {
-			covered[d] = true
-		}
+		covered.OrInRange(cv.feed[f], 0, nw)
+		cumulative += bestGain
 		frac := 0.0
-		if len(union) > 0 {
-			frac = float64(len(covered)) / float64(len(union))
+		if cv.unionSize > 0 {
+			frac = float64(cumulative) / float64(cv.unionSize)
 		}
 		steps = append(steps, SelectionStep{
-			Feed:           name,
+			Feed:           ds.Result.Order[f],
 			Marginal:       bestGain,
-			Cumulative:     len(covered),
+			Cumulative:     cumulative,
 			CumulativeFrac: frac,
 		})
 	}

@@ -13,8 +13,9 @@ import (
 // them dumb and sequential — their value is being obviously correct
 // and stable while the fast paths evolve.
 
-// feedDomainsSerial is FeedDomains via the sorted Each walk, kept as
-// the reference set builder.
+// feedDomainsSerial returns the feed's domains in the class as a set
+// of plain strings, via the sorted Each walk and per-domain label
+// lookups — the reference set builder.
 func feedDomainsSerial(ds *Dataset, name string, class DomainClass) map[string]bool {
 	out := make(map[string]bool)
 	ds.Feed(name).Each(func(d domain.Name, _ feeds.DomainStat) {

@@ -27,7 +27,7 @@ type TakedownRow struct {
 // The truth set is the oracle's top-k tagged domains (over the union
 // of feeds' tagged domains).
 func TakedownPrecision(ds *Dataset, k int) []TakedownRow {
-	truth := topK(ds.Result.Oracle.Dist(taggedUnion(ds)), k)
+	truth := topK(mailTaggedDist(ds), k)
 	rows := make([]TakedownRow, 0, len(VolumeFeeds(ds)))
 	for _, name := range VolumeFeeds(ds) {
 		top := topK(feedTaggedDist(ds, name), k)

@@ -3,9 +3,11 @@ package analysis
 import (
 	"time"
 
-	"tasterschoice/internal/domain"
+	"tasterschoice/internal/bitset"
+	"tasterschoice/internal/feeds"
 	"tasterschoice/internal/parallel"
 	"tasterschoice/internal/stats"
+	"tasterschoice/internal/symtab"
 )
 
 // TimingRow is one feed's boxplot in Figures 9-12.
@@ -32,77 +34,24 @@ func Fig9Feeds(ds *Dataset) []string {
 // whose last-appearance actually tracks when a spammer stopped sending.
 var HoneypotFeeds = []string{"mx1", "mx2", "mx3", "Ac1", "Ac2"}
 
-// timingDomains returns the tagged domains present in every one of the
-// given feeds ("the intersection of the feeds").
-func timingDomains(ds *Dataset, feedNames []string) []domain.Name {
-	if len(feedNames) == 0 {
-		return nil
-	}
-	tagged := FeedDomains(ds, feedNames[0], ClassTagged)
-	var out []domain.Name
-candidates:
-	for d := range tagged {
-		dn := domain.Name(d)
-		for _, name := range feedNames[1:] {
-			if !ds.Feed(name).Has(dn) {
-				continue candidates
-			}
-		}
-		out = append(out, dn)
-	}
-	return out
-}
-
 // FirstAppearance computes Figures 9 and 10: for each feed, the
 // distribution of (first appearance in that feed − campaign start),
 // where campaign start is the earliest appearance across all baseline
 // feeds and domains are the tagged domains in the baseline feeds'
 // intersection.
 func FirstAppearance(ds *Dataset, feedNames []string) []TimingRow {
-	domains := timingDomains(ds, feedNames)
-	rows := make([]TimingRow, len(feedNames))
-	parallel.ForEach(0, len(feedNames), func(i int) {
-		name := feedNames[i]
-		var deltas []time.Duration
-		for _, d := range domains {
-			start, ok := campaignStart(ds, feedNames, d)
-			if !ok {
-				continue
-			}
-			s, ok := ds.Feed(name).Stat(d)
-			if !ok {
-				continue
-			}
-			deltas = append(deltas, s.First.Sub(start))
-		}
-		rows[i] = TimingRow{Name: name, Summary: stats.SummarizeDurations(deltas)}
+	return timingRows(ds, feedNames, func(start, _ time.Time, s feeds.DomainStat) time.Duration {
+		return s.First.Sub(start)
 	})
-	return rows
 }
 
 // LastAppearance computes Figure 11: (campaign end − last appearance in
 // the feed) over the honeypot feeds' shared tagged domains, where
 // campaign end is the latest appearance across those same feeds.
 func LastAppearance(ds *Dataset, feedNames []string) []TimingRow {
-	domains := timingDomains(ds, feedNames)
-	rows := make([]TimingRow, len(feedNames))
-	parallel.ForEach(0, len(feedNames), func(i int) {
-		name := feedNames[i]
-		var deltas []time.Duration
-		for _, d := range domains {
-			end, ok := campaignEnd(ds, feedNames, d)
-			if !ok {
-				continue
-			}
-			s, ok := ds.Feed(name).Stat(d)
-			if !ok {
-				continue
-			}
-			deltas = append(deltas, end.Sub(s.Last))
-		}
-		rows[i] = TimingRow{Name: name, Summary: stats.SummarizeDurations(deltas)}
+	return timingRows(ds, feedNames, func(_, end time.Time, s feeds.DomainStat) time.Duration {
+		return end.Sub(s.Last)
 	})
-	return rows
 }
 
 // Duration computes Figure 12: (campaign duration − domain lifetime in
@@ -111,56 +60,56 @@ func LastAppearance(ds *Dataset, feedNames []string) []TimingRow {
 // duration is at least as long as any single feed's lifetime, so the
 // differences are non-negative.
 func Duration(ds *Dataset, feedNames []string) []TimingRow {
-	domains := timingDomains(ds, feedNames)
+	return timingRows(ds, feedNames, func(start, end time.Time, s feeds.DomainStat) time.Duration {
+		return end.Sub(start) - s.Last.Sub(s.First)
+	})
+}
+
+// timingRows computes one row per feed over the tagged domains present
+// in every one of the given feeds ("the intersection of the feeds").
+// Each domain's campaign spans its earliest first to its latest last
+// appearance across those feeds; delta maps the span and the domain's
+// stat in one feed to that feed's time difference.
+func timingRows(ds *Dataset, feedNames []string,
+	delta func(start, end time.Time, s feeds.DomainStat) time.Duration) []TimingRow {
+	var syms []symtab.ID
+	if len(feedNames) > 0 {
+		ix := ds.Index()
+		tagged := make([]*bitset.Set, len(feedNames))
+		for j, name := range feedNames {
+			tagged[j] = ix.classFeed(ClassTagged, name)
+		}
+		tagged[0].Each(func(id int) {
+			for _, b := range tagged[1:] {
+				if !b.Has(id) {
+					return
+				}
+			}
+			syms = append(syms, ix.sym(id))
+		})
+	}
+	start := make([]time.Time, len(syms))
+	end := make([]time.Time, len(syms))
+	for k, sym := range syms {
+		for j, name := range feedNames {
+			s, _ := ds.Feed(name).StatID(sym)
+			if j == 0 || s.First.Before(start[k]) {
+				start[k] = s.First
+			}
+			if j == 0 || s.Last.After(end[k]) {
+				end[k] = s.Last
+			}
+		}
+	}
 	rows := make([]TimingRow, len(feedNames))
 	parallel.ForEach(0, len(feedNames), func(i int) {
-		name := feedNames[i]
+		f := ds.Feed(feedNames[i])
 		var deltas []time.Duration
-		for _, d := range domains {
-			start, ok1 := campaignStart(ds, feedNames, d)
-			end, ok2 := campaignEnd(ds, feedNames, d)
-			if !ok1 || !ok2 {
-				continue
-			}
-			s, ok := ds.Feed(name).Stat(d)
-			if !ok {
-				continue
-			}
-			campaign := end.Sub(start)
-			lifetime := s.Last.Sub(s.First)
-			deltas = append(deltas, campaign-lifetime)
+		for k, sym := range syms {
+			s, _ := f.StatID(sym)
+			deltas = append(deltas, delta(start[k], end[k], s))
 		}
-		rows[i] = TimingRow{Name: name, Summary: stats.SummarizeDurations(deltas)}
+		rows[i] = TimingRow{Name: feedNames[i], Summary: stats.SummarizeDurations(deltas)}
 	})
 	return rows
-}
-
-// campaignStart is the earliest appearance of d across the given feeds.
-func campaignStart(ds *Dataset, feedNames []string, d domain.Name) (time.Time, bool) {
-	var start time.Time
-	found := false
-	for _, name := range feedNames {
-		if s, ok := ds.Feed(name).Stat(d); ok {
-			if !found || s.First.Before(start) {
-				start = s.First
-				found = true
-			}
-		}
-	}
-	return start, found
-}
-
-// campaignEnd is the latest appearance of d across the given feeds.
-func campaignEnd(ds *Dataset, feedNames []string, d domain.Name) (time.Time, bool) {
-	var end time.Time
-	found := false
-	for _, name := range feedNames {
-		if s, ok := ds.Feed(name).Stat(d); ok {
-			if !found || s.Last.After(end) {
-				end = s.Last
-				found = true
-			}
-		}
-	}
-	return end, found
 }

@@ -1,10 +1,5 @@
 package analysis
 
-import (
-	"tasterschoice/internal/domain"
-	"tasterschoice/internal/feeds"
-)
-
 // VolumeRow is one feed's bar in Figure 3: the share of incoming-mail
 // spam volume covered by the feed's live (or tagged) domains, plus the
 // share carried by the feed's Alexa/ODP domains — the stacked portion
@@ -28,59 +23,47 @@ type VolumeRow struct {
 // Alexa/ODP domains; the tagged plot restricts the benign side to
 // crawler-tagged benign domains.
 func VolumeCoverage(ds *Dataset) []VolumeRow {
+	ix := ds.Index()
 	o := ds.Result.Oracle
-	vol := func(set map[string]bool) float64 {
-		var total int64
-		for d := range set {
-			total += o.Volume(domain.Name(d))
-		}
-		return float64(total)
-	}
-	order := ds.Result.Order
-	liveSets := make([]map[string]bool, len(order))
-	taggedSets := make([]map[string]bool, len(order))
-	benignSets := make([]map[string]bool, len(order))       // all Alexa/ODP in feed
-	benignTaggedSets := make([]map[string]bool, len(order)) // tagged Alexa/ODP in feed
-	for i, name := range order {
-		liveSets[i] = FeedDomains(ds, name, ClassLive)
-		taggedSets[i] = FeedDomains(ds, name, ClassTagged)
-		benignSets[i] = make(map[string]bool)
-		benignTaggedSets[i] = make(map[string]bool)
-		ds.Feed(name).Each(func(d domain.Name, _ feeds.DomainStat) {
-			l := ds.Labels.Get(d)
-			if l == nil || !l.Benignish() {
-				return
-			}
-			benignSets[i][string(d)] = true
+	// sums holds one set's oracle volume per plot segment.
+	type sums struct{ live, benign, tagged, benignTagged int64 }
+	add := func(t *sums, id int) {
+		l, v := ix.label(id), o.VolumeID(ix.sym(id))
+		switch {
+		case l.Live():
+			t.live += v
+		case l.Benignish():
+			t.benign += v
 			if l.Tagged {
-				benignTaggedSets[i][string(d)] = true
-			}
-		})
-	}
-	unionOf := func(sets ...[]map[string]bool) map[string]bool {
-		u := make(map[string]bool)
-		for _, group := range sets {
-			for _, s := range group {
-				for d := range s {
-					u[d] = true
-				}
+				t.benignTagged += v
 			}
 		}
-		return u
+		if l.TaggedClean() {
+			t.tagged += v
+		}
 	}
-	liveTotal := vol(unionOf(liveSets, benignSets))
-	taggedTotal := vol(unionOf(taggedSets, benignTaggedSets))
+	// Every labeled domain occurs in some feed, so the unions over the
+	// feeds are sums over all ids.
+	var all sums
+	for id := range ds.Labels.rows {
+		add(&all, id)
+	}
+	liveTotal := float64(all.live + all.benign)
+	taggedTotal := float64(all.tagged + all.benignTagged)
 
+	order := ds.Result.Order
 	out := make([]VolumeRow, len(order))
 	for i, name := range order {
+		var f sums
+		ix.feedBits[name].Each(func(id int) { add(&f, id) })
 		row := VolumeRow{Name: name}
 		if liveTotal > 0 {
-			row.LivePct = vol(liveSets[i]) / liveTotal
-			row.LiveBenignPct = vol(benignSets[i]) / liveTotal
+			row.LivePct = float64(f.live) / liveTotal
+			row.LiveBenignPct = float64(f.benign) / liveTotal
 		}
 		if taggedTotal > 0 {
-			row.TaggedPct = vol(taggedSets[i]) / taggedTotal
-			row.TaggedBenignPct = vol(benignTaggedSets[i]) / taggedTotal
+			row.TaggedPct = float64(f.tagged) / taggedTotal
+			row.TaggedBenignPct = float64(f.benignTagged) / taggedTotal
 		}
 		out[i] = row
 	}

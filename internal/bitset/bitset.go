@@ -1,7 +1,7 @@
 // Package bitset implements the fixed-size bitsets behind the
 // analysis package's pairwise set algebra. The paper's coverage and
-// intersection tables reduce to |A ∩ B| over sets of interned domain
-// ids; with one bit per id those become word-wise AND + popcount
+// intersection tables reduce to |A ∩ B| over sets of domain ids
+// (internal/analysis's name-ranked id space); with one bit per id those become word-wise AND + popcount
 // passes that run at memory bandwidth and shard cleanly across
 // workers.
 package bitset
@@ -32,6 +32,16 @@ func (s *Set) Set(i int) { s.words[i>>6] |= 1 << (uint(i) & 63) }
 
 // Has reports whether bit i is set.
 func (s *Set) Has(i int) bool { return s.words[i>>6]&(1<<(uint(i)&63)) != 0 }
+
+// Each calls fn for every member in ascending order.
+func (s *Set) Each(fn func(i int)) {
+	for wi, w := range s.words {
+		for w != 0 {
+			fn(wi<<6 | bits.TrailingZeros64(w))
+			w &= w - 1
+		}
+	}
+}
 
 // Count returns the number of set bits.
 func (s *Set) Count() int {

@@ -34,6 +34,25 @@ func TestSetHasCount(t *testing.T) {
 	}
 }
 
+func TestEachAscending(t *testing.T) {
+	rng := randutil.New(4)
+	for _, n := range []int{0, 1, 63, 64, 65, 517} {
+		s, ref := randomSet(rng, n, 0.3)
+		prev := -1
+		got := 0
+		s.Each(func(i int) {
+			if i <= prev || !ref[i] {
+				t.Fatalf("n=%d: Each yielded %d after %d", n, i, prev)
+			}
+			prev = i
+			got++
+		})
+		if got != len(ref) {
+			t.Fatalf("n=%d: Each yielded %d members, want %d", n, got, len(ref))
+		}
+	}
+}
+
 func TestAndCountMatchesReference(t *testing.T) {
 	rng := randutil.New(2)
 	const n = 1003

@@ -59,16 +59,7 @@ func (s *Study) Recommend(q Question) []Ranked {
 	switch q {
 	case QCoverage:
 		tagged := analysis.Coverage(s.DS, analysis.ClassTagged)
-		union := 0
-		seen := map[string]bool{}
-		for _, name := range s.DS.Result.Order {
-			for d := range analysis.FeedDomains(s.DS, name, analysis.ClassTagged) {
-				if !seen[d] {
-					seen[d] = true
-					union++
-				}
-			}
-		}
+		union := analysis.Intersections(s.DS, analysis.ClassTagged).UnionSize
 		for _, r := range tagged {
 			frac := 0.0
 			if union > 0 {

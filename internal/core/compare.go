@@ -76,15 +76,10 @@ func Compare(a, b *Study) []MetricDelta {
 // taggedCoverageFrac is a feed's tagged domains over the union.
 func taggedCoverageFrac(s *Study, feed string) float64 {
 	rows := analysis.Coverage(s.DS, analysis.ClassTagged)
-	union := map[string]bool{}
-	for _, name := range s.DS.Result.Order {
-		for d := range analysis.FeedDomains(s.DS, name, analysis.ClassTagged) {
-			union[d] = true
-		}
-	}
+	union := analysis.Intersections(s.DS, analysis.ClassTagged).UnionSize
 	for _, r := range rows {
 		if r.Name == feed {
-			return stats.Fraction(r.Total, len(union))
+			return stats.Fraction(r.Total, union)
 		}
 	}
 	return 0

@@ -280,15 +280,10 @@ func ExtractMetrics(s *core.Study) map[string]float64 {
 	out := map[string]float64{}
 
 	// Coverage.
-	union := map[string]bool{}
-	for _, name := range s.DS.Result.Order {
-		for d := range analysis.FeedDomains(s.DS, name, analysis.ClassTagged) {
-			union[d] = true
-		}
-	}
+	union := analysis.Intersections(s.DS, analysis.ClassTagged).UnionSize
 	for _, r := range analysis.Coverage(s.DS, analysis.ClassTagged) {
-		if r.Name == "Hu" && len(union) > 0 {
-			out["Hu tagged coverage %"] = 100 * float64(r.Total) / float64(len(union))
+		if r.Name == "Hu" && union > 0 {
+			out["Hu tagged coverage %"] = 100 * float64(r.Total) / float64(union)
 		}
 	}
 	for _, r := range analysis.Coverage(s.DS, analysis.ClassLive) {

@@ -324,6 +324,7 @@ func escapeLabel(label []byte) string {
 func unpackName(data []byte, off int) (string, int, error) {
 	var labels []string
 	end := -1 // offset after the name in the original stream
+	wire := 1 // decompressed wire length, counting the root label
 	hops := 0
 	for {
 		if off >= len(data) {
@@ -358,11 +359,12 @@ func unpackName(data []byte, off int) (string, int, error) {
 			if off+1+b > len(data) {
 				return "", 0, ErrTruncatedMessage
 			}
+			// RFC 1035 §3.1: a name is at most 255 octets on the wire.
+			if wire += 1 + b; wire > 255 {
+				return "", 0, fmt.Errorf("%w: name too long", ErrBadName)
+			}
 			labels = append(labels, escapeLabel(data[off+1:off+1+b]))
 			off += 1 + b
-			if len(labels) > 128 {
-				return "", 0, fmt.Errorf("%w: too many labels", ErrBadName)
-			}
 		}
 	}
 }

@@ -382,8 +382,10 @@ func (p *Plane) Handle(raw []byte) []byte {
 // for concurrent use; each worker goroutine owns one.
 type Responder struct {
 	p *Plane
-	// name holds the lowercased dotted qname (DNS caps names at 255).
-	name [256]byte
+	// name holds the lowercased dotted qname. A name is at most 255
+	// octets on the wire (RFC 1035 §3.1), which is 253 dotted
+	// characters; longer qnames take the slow path, which drops them.
+	name [253]byte
 	// scratch builds TXT reasons.
 	scratch []byte
 }

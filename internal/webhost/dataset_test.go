@@ -57,9 +57,8 @@ func TestHTTPLabeledDatasetMatchesSimulated(t *testing.T) {
 	if simulated.Len() != overHTTP.Len() {
 		t.Fatalf("label counts differ: %d vs %d", simulated.Len(), overHTTP.Len())
 	}
-	ds := &analysis.Dataset{World: world, Result: res, Labels: simulated}
 	mismatches := 0
-	for _, d := range ds.Union() {
+	for _, d := range simulated.Domains {
 		a := simulated.Get(d)
 		b := overHTTP.Get(d)
 		if a.HTTP != b.HTTP || a.Tagged != b.Tagged ||
