@@ -189,12 +189,14 @@ func main() {
 
 // measure runs every tracked benchmark and assembles the report.
 func measure(scenario, rev string) *Report {
-	var sc simulate.Scenario
+	var sc, paper simulate.Scenario
 	switch scenario {
 	case "default":
 		sc = simulate.Default(2010)
+		paper = simulate.PaperRatio(2010)
 	case "small":
 		sc = simulate.Small(2010)
+		paper = sc.WithVolumes(simulate.PaperRatioVolume)
 	default:
 		fatalf("unknown scenario %q (want default or small)", scenario)
 	}
@@ -254,15 +256,21 @@ func measure(scenario, rev string) *Report {
 	// generates a fresh world, collects, labels and renders the full
 	// report, which builds the index. The entries below reuse the warm
 	// world above, so only this one sees first-intern costs.
-	run("repro_e2e", func() {
-		ds, err := sc.Run()
-		if err != nil {
-			fatalf("cold pipeline: %v", err)
+	coldReport := func(s simulate.Scenario) func() {
+		return func() {
+			ds, err := s.Run()
+			if err != nil {
+				fatalf("cold pipeline %s: %v", s.Name, err)
+			}
+			if err := core.NewStudy(ds).WriteReport(io.Discard); err != nil {
+				fatalf("cold report %s: %v", s.Name, err)
+			}
 		}
-		if err := core.NewStudy(ds).WriteReport(io.Discard); err != nil {
-			fatalf("cold report: %v", err)
-		}
-	}, nil)
+	}
+	run("repro_e2e", coldReport(sc), nil)
+	// The same cold pipeline with every campaign volume ×20: collection
+	// of a few mega-campaigns' arrivals dominates.
+	run("repro_e2e_paper_ratio", coldReport(paper), nil)
 
 	// Feed collection: the parallel chunked engine vs the pre-parallel
 	// engine pinned in internal/benchref.

@@ -3,6 +3,7 @@ package mailflow
 import (
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"tasterschoice/internal/ecosystem"
@@ -73,22 +74,27 @@ func (r *Result) BaseOrder() []string {
 }
 
 // planChunkSize is how many campaigns are planned in parallel before
-// their buffered output is merged and the webmail chains drained. It
-// bounds peak buffered-event memory without affecting results: chunk
-// boundaries only group work, never reorder it.
+// their buffered output is replayed and the webmail chains drained. It
+// bounds how many plans are buffered at once, and so the number of
+// small campaigns' arrivals held in memory; it does not bound one
+// campaign's buffer, which holds every time it drew — a mega-campaign
+// buffers millions of arrivals on its own. Chunk boundaries only group
+// work, never reorder it, so the size does not affect results.
 const planChunkSize = 1024
 
 // Engine runs collection over a generated world.
 //
-// The run is a chunked plan/merge pipeline. Workers plan disjoint
-// campaigns concurrently (see plan.go), each drawing only from its
-// campaign's private RNG stream; the engine replays the buffered feed
-// observations serially in campaign ID order, then drains the queued
-// webmail batches through per-domain chains sharded across workers
-// (see webmail.go). Because work is assigned by campaign ID and domain
-// hash — pure functions of the input, never of timing — the output is
-// byte-identical for every Config.Workers value and GOMAXPROCS
-// setting; the golden tests pin this down.
+// The run is a chunked plan/merge pipeline. Workers claim and plan
+// disjoint campaigns concurrently (see plan.go), each drawing only from
+// its campaign's private RNG stream into its own plan; the engine
+// replays the buffered runs serially in campaign ID order, then drains
+// the queued webmail batches through per-domain chains, whose 64 fixed
+// shards workers claim the same way (see webmail.go). Which worker
+// handles a campaign or shard is left to timing, but what it computes
+// depends only on the campaign ID or domain hash, and every merge
+// walks a fixed order, so the output is byte-identical for every
+// Config.Workers value and GOMAXPROCS setting; the golden tests pin
+// this down.
 type Engine struct {
 	World *ecosystem.World
 	Cfg   Config
@@ -247,27 +253,20 @@ func (e *Engine) observeCampaigns(workers int) {
 			e.planCampaign(plans[i], &camps[lo+i])
 		})
 		e.Metrics.CampaignsPlanned.Add(int64(hi - lo))
-		var batches int64
+		var batches, messages int64
 		for _, p := range plans {
-			e.Metrics.Observations.Add(int64(len(p.obs)))
-			for j := range p.obs {
-				o := &p.obs[j]
-				f := e.feedArr[o.feed]
-				if o.once {
-					f.ObserveOnceID(o.t, o.d)
-				} else {
-					f.ObserveID(o.t, o.d, o.url)
-				}
-			}
+			e.Metrics.Observations.Add(p.replay(&e.feedArr))
 			batches += int64(len(p.batches))
 			for _, b := range p.batches {
+				messages += int64(len(b.times))
 				e.wm.enqueue(b)
 			}
 		}
 		e.Metrics.WebmailBatches.Add(batches)
+		e.Metrics.WebmailMessages.Add(messages)
 		e.Metrics.DrainDepth.Observe(float64(batches))
 		// flush drains every queued batch before the next chunk reuses
-		// the plan buffers the batch time-slices point into.
+		// the plan arenas the batch time-slices point into.
 		e.wm.flush(workers)
 	}
 }
@@ -302,46 +301,47 @@ func (e *Engine) chaffIDWith(rng *randutil.RNG) (d, url symtab.ID, ok bool) {
 	return b.Sym, b.URLSym, true
 }
 
-// uniformTimesNanos appends n times uniform over w to buf, as packed
+// uniformTimesNanos fills times with draws uniform over w, as packed
 // UnixNano, consuming exactly one Float64 draw per time.
-func uniformTimesNanos(rng *randutil.RNG, w simclock.Window, n int, buf []int64) []int64 {
+func uniformTimesNanos(rng *randutil.RNG, w simclock.Window, times []int64) {
 	span := float64(w.Duration())
 	startN := w.Start.UnixNano()
-	for i := 0; i < n; i++ {
-		buf = append(buf, startN+int64(rng.Float64()*span))
+	for i := range times {
+		times[i] = startN + int64(rng.Float64()*span)
 	}
-	return buf
 }
 
-// uniformTimesSortedInto appends n times uniform over w in ascending
-// order to p's time arena, in O(n) without sorting: with E_1..E_{n+1}
-// i.i.d. Exp(1) and S_i their prefix sums, (S_1/S_{n+1}, ...,
-// S_n/S_{n+1}) has exactly the distribution of n sorted uniforms. This
-// replaces the reflection-based sort.Slice that used to dominate the
-// webmail path; the arena and prefix-sum scratch are reused across the
-// plan's lifetime.
+// drawTimes returns n times uniform over w in the engine's scratch
+// buffer, for the serial phases; the slice is valid until the next call.
+func (e *Engine) drawTimes(rng *randutil.RNG, w simclock.Window, n int) []int64 {
+	e.timesBuf = slices.Grow(e.timesBuf[:0], n)[:n]
+	uniformTimesNanos(rng, w, e.timesBuf)
+	return e.timesBuf
+}
+
+// uniformTimesSortedInto returns n times uniform over w in ascending
+// order, carved from p's time arena, in O(n) without sorting: with
+// E_1..E_{n+1} i.i.d. Exp(1) and S_i their prefix sums, (S_1/S_{n+1},
+// ..., S_n/S_{n+1}) has exactly the distribution of n sorted uniforms.
+// The prefix sums are parked in the output slice as float64 bits until
+// S_{n+1} is known, so no scratch buffer is needed.
 func uniformTimesSortedInto(p *campaignPlan, rng *randutil.RNG, w simclock.Window, n int) []int64 {
 	if n <= 0 {
 		return nil
 	}
-	if cap(p.cum) < n {
-		p.cum = make([]float64, n)
-	} else {
-		p.cum = p.cum[:n]
-	}
+	times := p.arena.alloc(n)
 	acc := 0.0
-	for i := range p.cum {
+	for i := range times {
 		acc += rng.ExpFloat64()
-		p.cum[i] = acc
+		times[i] = int64(math.Float64bits(acc))
 	}
 	acc += rng.ExpFloat64()
 	span := float64(w.Duration())
 	startN := w.Start.UnixNano()
-	start := len(p.times)
-	for _, c := range p.cum {
-		p.times = append(p.times, startN+int64(c/acc*span))
+	for i, c := range times {
+		times[i] = startN + int64(math.Float64frombits(uint64(c))/acc*span)
 	}
-	return p.times[start:]
+	return times
 }
 
 // slotWindow clips an ad slot to the measurement window, returning the
@@ -436,8 +436,7 @@ func (e *Engine) typoTraffic(rng *randutil.RNG) {
 	for _, name := range []string{"mx1", "mx2", "mx3"} {
 		n := rng.Poisson(e.Cfg.MXTypoRate * days)
 		f := e.res.Feed(name)
-		e.timesBuf = uniformTimesNanos(rng, e.window, n, e.timesBuf[:0])
-		for _, t := range e.timesBuf {
+		for _, t := range e.drawTimes(rng, e.window, n) {
 			if cd, curl, ok := e.chaffIDWith(e.chaffRng); ok {
 				f.ObserveID(t, cd, curl)
 			}
@@ -452,8 +451,7 @@ func (e *Engine) honeypotJunk(rng *randutil.RNG) {
 	for _, name := range []string{"mx1", "mx2", "mx3", "Ac1", "Ac2"} {
 		n := rng.Poisson(e.Cfg.HoneypotJunkPerDay * days)
 		f := e.res.Feed(name)
-		e.timesBuf = uniformTimesNanos(rng, e.window, n, e.timesBuf[:0])
-		for _, t := range e.timesBuf {
+		for _, t := range e.drawTimes(rng, e.window, n) {
 			// Mostly garbage hostnames; occasionally a real but
 			// obscure registered domain (mis-scraped signatures,
 			// stray URLs) — each feed's private tail of exclusive
@@ -486,8 +484,7 @@ func (e *Engine) poison(rng *randutil.RNG) {
 			e.Cfg.PoisonLiveHitProb, e.syms, e.World.ObscureSyms)
 		f := e.res.Feed(feed)
 		tRng := rng.SplitNamed(stream + "-times")
-		e.timesBuf = uniformTimesNanos(tRng, pw, arrivals, e.timesBuf[:0])
-		for _, t := range e.timesBuf {
+		for _, t := range e.drawTimes(tRng, pw, arrivals) {
 			d := src.NextID()
 			f.ObserveID(t, d, e.syms.AutoURL(d))
 		}
@@ -500,8 +497,7 @@ func (e *Engine) poison(rng *randutil.RNG) {
 func (e *Engine) huJunk(rng *randutil.RNG) {
 	n := rng.Poisson(e.Cfg.HuJunkReports)
 	f := e.res.Feed("Hu")
-	e.timesBuf = uniformTimesNanos(rng, e.window, n, e.timesBuf[:0])
-	for _, t := range e.timesBuf {
+	for _, t := range e.drawTimes(rng, e.window, n) {
 		ln := 5 + rng.Intn(9)
 		e.nameBuf = rng.AppendAlphaNum(e.nameBuf[:0], ln)
 		e.nameBuf = append(e.nameBuf, ".com"...)
@@ -533,8 +529,7 @@ func (e *Engine) blacklistJunk(rng *randutil.RNG) {
 	for _, l := range lists {
 		f := e.res.Feed(l.name)
 		n := rng.Poisson(l.bc.JunkBenign)
-		e.timesBuf = uniformTimesNanos(rng, e.window, n, e.timesBuf[:0])
-		for _, t := range e.timesBuf {
+		for _, t := range e.drawTimes(rng, e.window, n) {
 			d := benign[lo+rng.Intn(hi-lo)].Sym
 			f.ObserveOnceID(t, d)
 		}

@@ -43,6 +43,9 @@ func TestGoldenEngineInertUnderInstrumentation(t *testing.T) {
 	if eng.Metrics.WebmailBatches.Value() == 0 {
 		t.Fatal("no webmail batches counted")
 	}
+	if eng.Metrics.WebmailMessages.Value() == 0 {
+		t.Fatal("no webmail messages counted")
+	}
 
 	// Every run phase recorded a span.
 	seen := map[string]bool{}

@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"tasterschoice/internal/ecosystem"
+	"tasterschoice/internal/feeds"
 	"tasterschoice/internal/randutil"
 	"tasterschoice/internal/simclock"
 	"tasterschoice/internal/symtab"
@@ -13,18 +14,26 @@ import (
 // draws everything a campaign contributes — feed arrivals, webmail
 // batches, blacklist listings — from the campaign's private RNG stream
 // and buffers it in a campaignPlan instead of touching shared state.
-// Workers plan disjoint campaigns concurrently; the engine then replays
-// the buffered plans into the feeds serially, in campaign ID order, so
-// order-sensitive feed semantics (dedup windows, first-seen sample
-// URLs, tap streams) behave identically for every worker count.
+// Workers claim campaigns one at a time (parallel.ForEach), so a
+// mega-campaign occupies one worker while the others drain the rest of
+// the chunk; the engine then replays the buffered plans into the feeds
+// serially, in campaign ID order, so order-sensitive feed semantics
+// (dedup windows, first-seen sample URLs, tap streams) behave
+// identically for every worker count.
 //
-// Plans are columnar and pooled: observations carry interned symbol
-// IDs and packed UnixNano times, batch times live in a per-plan arena,
-// and the engine reuses each plan buffer across chunks, so a steady-
-// state planning pass allocates almost nothing. Planning never interns
-// — every symbol it needs was assigned serially (world generation, or
-// the engine's serial phases) — which is what keeps ID assignment
-// independent of the worker count.
+// A plan is run-encoded. Each planObserve call becomes one obsRun — a
+// (feed, domain, URL) triple plus the arrival times it drew — and each
+// blacklist listing a one-time run; the rare chaff co-arrivals sit in a
+// side list, tagged with their position in the run, and replay emits
+// each right after its arrival. Run times and webmail batch times are
+// drawn straight into the plan's timeArena, whose blocks never move, so
+// buffering an arrival costs its 8-byte time and nothing is copied or
+// regrown however large a campaign is. The engine reuses each plan,
+// arena blocks included, across chunks, so a steady-state planning pass
+// allocates almost nothing. Planning never interns — every symbol it
+// needs was assigned serially (world generation, or the engine's serial
+// phases) — which is what keeps ID assignment independent of the worker
+// count.
 
 // Feed indexes into FeedNames, the canonical order.
 const (
@@ -40,43 +49,117 @@ const (
 	fHyb
 )
 
-// feedObs is one buffered feed observation: packed time, interned
-// domain and URL.
-type feedObs struct {
-	t      int64
+// obsRun is one feed's arrivals of one domain and URL, at times in
+// draw order: a planObserve call, or a blacklist listing (once, one
+// time). Its chaff co-arrivals are the next nchaff entries of the
+// plan's chaff list.
+type obsRun struct {
+	times  []int64
 	d, url symtab.ID
+	nchaff int32
 	// feed indexes FeedNames; once selects ObserveOnce (blacklists).
 	feed uint8
 	once bool
 }
 
+// chaffObs is a benign domain an arrival also named: at is the
+// arrival's index in its run's times.
+type chaffObs struct {
+	at     int32
+	d, url symtab.ID
+}
+
 // campaignPlan buffers one campaign's entire contribution. The engine
-// reuses plan buffers across chunks: reset truncates every slice but
-// keeps capacity, so steady-state planning reuses the same arenas.
+// reuses plans across chunks: reset truncates every list and rewinds
+// the arena but keeps all capacity.
 type campaignPlan struct {
-	obs     []feedObs
+	runs    []obsRun
+	chaff   []chaffObs
 	batches []wmBatch
-	// times is the arena batch time-slices are carved from. Growth
-	// reallocates the backing array, but earlier sub-slices keep their
-	// (already final) contents, and the engine drains all batches
-	// before the plan is reused.
-	times []int64
-	// cum is uniformTimesSorted's prefix-sum scratch.
-	cum []float64
-	// scratch holds unsorted draw times for planObserve, so drawing
-	// all times before the per-time chaff draws (the draw order the
-	// golden streams pin down) needs no fresh slice.
-	scratch []int64
+	// arena holds every run's and batch's times; the engine drains all
+	// batches before the plan is reused.
+	arena timeArena
 }
 
 // reset empties the plan for reuse, keeping capacity.
 func (p *campaignPlan) reset() {
-	p.obs = p.obs[:0]
+	p.runs = p.runs[:0]
+	p.chaff = p.chaff[:0]
 	p.batches = p.batches[:0]
-	p.times = p.times[:0]
-	p.cum = p.cum[:0]
-	p.scratch = p.scratch[:0]
+	p.arena.reset()
 }
+
+// replay feeds the plan's arrivals into dst (indexed like FeedNames) in
+// the order planning drew them, each chaff co-arrival right after the
+// arrival that carried it, and returns the number of arrivals.
+func (p *campaignPlan) replay(dst *[fHyb + 1]*feeds.Feed) int64 {
+	n := int64(len(p.chaff))
+	chaff := p.chaff
+	for ri := range p.runs {
+		r := &p.runs[ri]
+		n += int64(len(r.times))
+		f := dst[r.feed]
+		if r.once {
+			for _, t := range r.times {
+				f.ObserveOnceID(t, r.d)
+			}
+			continue
+		}
+		rc := chaff[:r.nchaff]
+		chaff = chaff[r.nchaff:]
+		for i, t := range r.times {
+			f.ObserveID(t, r.d, r.url)
+			if len(rc) > 0 && int(rc[0].at) == i {
+				f.ObserveID(t, rc[0].d, rc[0].url)
+				rc = rc[1:]
+			}
+		}
+	}
+	return n
+}
+
+// Arena block sizes, in times: a plan's first block is small, so the
+// thousands of small campaigns stay cheap, and each later block doubles
+// up to the cap, so a mega-campaign's millions of times take
+// few blocks and little tail waste.
+const (
+	arenaMinBlock = 1 << 10
+	arenaMaxBlock = 1 << 20
+)
+
+// timeArena hands out contiguous time slices carved from blocks that
+// never move: a slice, once handed out, keeps its backing memory until
+// reset, and growth adds a block instead of copying. reset rewinds to
+// the first block; blocks are kept and refilled in order.
+type timeArena struct {
+	blocks [][]int64
+	// cur indexes the block being carved; off is its used length.
+	cur, off int
+}
+
+// alloc returns a slice of n times (contents unspecified) that stays
+// valid until the next reset.
+func (a *timeArena) alloc(n int) []int64 {
+	if n <= 0 {
+		return nil
+	}
+	for ; a.cur < len(a.blocks); a.cur, a.off = a.cur+1, 0 {
+		if b := a.blocks[a.cur]; a.off+n <= len(b) {
+			a.off += n
+			return b[a.off-n : a.off : a.off]
+		}
+	}
+	size := arenaMinBlock
+	if k := len(a.blocks); k > 0 {
+		size = min(2*len(a.blocks[k-1]), arenaMaxBlock)
+	}
+	b := make([]int64, max(size, n))
+	a.blocks = append(a.blocks, b)
+	a.off = n
+	return b[:n:n]
+}
+
+func (a *timeArena) reset() { a.cur, a.off = 0, 0 }
 
 // planCampaign draws one campaign's output into p. It is safe to call
 // concurrently for distinct campaigns: every random draw comes from the
@@ -195,23 +278,29 @@ func (e *Engine) planSlot(p *campaignPlan, rng *randutil.RNG, c *ecosystem.Campa
 	e.planBlacklist(p, rng, fUribl, &cfg.URIBL, c, slot, w)
 }
 
-// planObserve buffers n arrivals of a URL-reporting feed, with chaff.
-// Empty windows observe nothing. All n times are drawn before the
-// per-time chaff draws, matching the original draw order.
+// planObserve buffers n arrivals of a URL-reporting feed, with chaff,
+// as one run. Empty windows observe nothing. All n times are drawn
+// before the per-time chaff draws, matching the original draw order.
 func (e *Engine) planObserve(p *campaignPlan, rng *randutil.RNG, feed uint8,
 	w simclock.Window, n int, d, url symtab.ID) {
-	if !w.End.After(w.Start) {
+	if !w.End.After(w.Start) || n <= 0 {
 		return
 	}
-	p.scratch = uniformTimesNanos(rng, w, n, p.scratch[:0])
-	for _, t := range p.scratch {
-		p.obs = append(p.obs, feedObs{t: t, d: d, url: url, feed: feed})
-		if e.Cfg.ChaffProb > 0 && rng.Bool(e.Cfg.ChaffProb) {
+	times := p.arena.alloc(n)
+	uniformTimesNanos(rng, w, times)
+	nchaff := len(p.chaff)
+	if e.Cfg.ChaffProb > 0 {
+		for i := range times {
+			if !rng.Bool(e.Cfg.ChaffProb) {
+				continue
+			}
 			if cd, curl, ok := e.chaffIDWith(rng); ok {
-				p.obs = append(p.obs, feedObs{t: t, d: cd, url: curl, feed: feed})
+				p.chaff = append(p.chaff, chaffObs{at: int32(i), d: cd, url: curl})
 			}
 		}
 	}
+	p.runs = append(p.runs, obsRun{times: times, d: d, url: url,
+		nchaff: int32(len(p.chaff) - nchaff), feed: feed})
 }
 
 // planWebOnly buffers the hybrid feed's web-spam discoveries.
@@ -246,5 +335,7 @@ func (e *Engine) planBlacklist(p *campaignPlan, rng *randutil.RNG, feed uint8,
 	if at >= e.winEndN {
 		return
 	}
-	p.obs = append(p.obs, feedObs{t: at, d: slot.Sym, feed: feed, once: true})
+	times := p.arena.alloc(1)
+	times[0] = at
+	p.runs = append(p.runs, obsRun{times: times, d: slot.Sym, feed: feed, once: true})
 }

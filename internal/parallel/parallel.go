@@ -1,19 +1,24 @@
 // Package parallel provides the small deterministic worker-pool
 // primitives shared by the analysis and simulation hot paths.
 //
-// Every helper here follows the same sharded pattern already proven in
-// analysis.BuildLabelsWith: work is divided statically (round-robin by
-// index or by contiguous range), each shard is owned by exactly one
-// worker, and workers never share mutable state. Because the assignment
-// of work to shards is a pure function of the input size — never of
-// timing — any code built on these helpers produces identical results
-// for every worker count, which is the determinism contract the golden
-// tests pin down.
+// The determinism contract is ownership, not placement: fn(i) owns
+// index i — it writes only state that belongs to i (out[i], plans[i],
+// shard i) and reads shared state that no call writes — so the result
+// is the same whichever worker runs which index, and in whatever
+// order. ForEach therefore hands indexes out dynamically: each worker
+// claims the next unclaimed index from an atomic counter, so one slow
+// index (a mega-campaign, a hot webmail shard) delays only its own
+// worker while the others drain the rest. Shards and Ranges instead
+// split the work statically, for callers that own a fixed partition
+// (a bucket per shard, a contiguous word range). Any code built on
+// these helpers produces identical results for every worker count,
+// which is what the golden tests pin down.
 package parallel
 
 import (
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"tasterschoice/internal/obs"
@@ -24,9 +29,9 @@ import (
 // during startup (before any pool runs — the fields are read without
 // synchronization on the hot path).
 //
-// Observation never influences scheduling: work assignment stays a
-// pure function of (n, workers), so instrumented and uninstrumented
-// runs produce identical results — the determinism contract of this
+// Observation never influences results: instrumented and
+// uninstrumented runs compute every index with the same fn, so they
+// produce identical results — the determinism contract of this
 // package is unchanged.
 type PoolMetrics struct {
 	// Calls counts pool invocations (ForEach/Shards/Ranges/Map).
@@ -64,7 +69,7 @@ func NewPoolMetrics(r *obs.Registry) PoolMetrics {
 // deliberately the wall clock — the one sanctioned use in this
 // package: straggler gaps are a property of the real machine, and the
 // timings feed observability only, never work assignment.
-var wallNow = time.Now //lint:allow wallclock -- shard-latency measurement is observational; scheduling stays a pure function of (n, workers)
+var wallNow = time.Now //lint:allow wallclock -- shard-latency measurement is observational; results never depend on which worker ran an index
 
 // imbalance tracks per-shard wall durations for the straggler
 // histogram; used only when Metrics.ShardImbalanceNs is set.
@@ -104,12 +109,13 @@ func Workers(n int) int {
 	return n
 }
 
-// ForEach runs fn(i) for every i in [0, n), striped across the given
-// number of workers (worker w handles i = w, w+workers, ...). It
-// returns when all calls have completed. fn must not mutate state
-// shared with other indexes unless that state is its own shard.
-// workers <= 0 selects GOMAXPROCS; a single worker runs inline with no
-// goroutine overhead.
+// ForEach runs fn(i) for every i in [0, n) across the given number of
+// workers and returns when all calls have completed. Workers claim
+// indexes one at a time from a shared counter, so which worker runs an
+// index, and in what order, depends on timing: fn(i) must own index i,
+// writing only state that belongs to i, so that the result does not.
+// workers <= 0 selects GOMAXPROCS; a single worker runs inline, in
+// index order, with no goroutine overhead.
 func ForEach(workers, n int, fn func(i int)) {
 	workers = Workers(workers)
 	if workers > n {
@@ -125,10 +131,11 @@ func ForEach(workers, n int, fn func(i int)) {
 	}
 	measure := Metrics.ShardImbalanceNs != nil
 	var im imbalance
+	var next atomic.Int64
 	var wg sync.WaitGroup
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
-		go func(shard int) {
+		go func() {
 			defer wg.Done()
 			Metrics.InFlight.Add(1)
 			defer Metrics.InFlight.Add(-1)
@@ -136,13 +143,13 @@ func ForEach(workers, n int, fn func(i int)) {
 			if measure {
 				start = wallNow()
 			}
-			for i := shard; i < n; i += workers {
+			for i := int(next.Add(1) - 1); i < n; i = int(next.Add(1) - 1) {
 				fn(i)
 			}
 			if measure {
 				im.add(wallNow().Sub(start))
 			}
-		}(w)
+		}()
 	}
 	wg.Wait()
 	if measure {

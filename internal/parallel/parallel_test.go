@@ -4,6 +4,7 @@ import (
 	"runtime"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func TestWorkersClamp(t *testing.T) {
@@ -93,5 +94,33 @@ func TestMapOrderIndependent(t *testing.T) {
 				t.Fatalf("workers=%d: out[%d] = %d, want %d", workers, i, got[i], want[i])
 			}
 		}
+	}
+}
+
+// TestForEachSkewedWorkDoesNotSerialize pins claimed scheduling: with
+// two workers, index 0 cannot finish until 1, 2 and 3 have, so the
+// worker stuck on it must not own any of them. Striping (worker 0 runs
+// 0 and 2) deadlocks here; claiming lets the other worker drain 1–3.
+func TestForEachSkewedWorkDoesNotSerialize(t *testing.T) {
+	var done [4]chan struct{}
+	for i := range done {
+		done[i] = make(chan struct{})
+	}
+	finished := make(chan struct{})
+	go func() {
+		ForEach(2, 4, func(i int) {
+			if i == 0 {
+				for _, c := range done[1:] {
+					<-c
+				}
+			}
+			close(done[i])
+		})
+		close(finished)
+	}()
+	select {
+	case <-finished:
+	case <-time.After(10 * time.Second):
+		t.Fatal("ForEach serialized index 0 ahead of indexes its worker also owns")
 	}
 }

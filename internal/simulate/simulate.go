@@ -68,6 +68,32 @@ func Small(seed uint64) Scenario {
 	return s
 }
 
+// PaperRatioVolume is the factor PaperRatio applies to every campaign
+// volume median.
+const PaperRatioVolume = 20
+
+// PaperRatio returns Default with every campaign volume median ×20:
+// domain counts stay as in Default, so messages per domain rise 20×,
+// toward the paper's message:domain ratio (>1B messages over three
+// months). It is the scenario behind perfbench's sweep_paper_ratio and
+// cmd/bench's repro_e2e_paper_ratio.
+func PaperRatio(seed uint64) Scenario {
+	s := Default(seed).WithVolumes(PaperRatioVolume)
+	s.Name = "paper-ratio"
+	return s
+}
+
+// WithVolumes returns s with every campaign volume median (loud,
+// quiet, tiny and other-goods) multiplied by k.
+func (s Scenario) WithVolumes(k float64) Scenario {
+	e := &s.Ecosystem
+	e.LoudVolumeMedian *= k
+	e.QuietVolumeMedian *= k
+	e.TinyVolumeMedian *= k
+	e.OtherVolumeMedian *= k
+	return s
+}
+
 // Run executes the scenario end to end.
 func (s Scenario) Run() (*analysis.Dataset, error) {
 	world, err := ecosystem.Generate(s.Ecosystem)

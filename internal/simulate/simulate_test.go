@@ -1,6 +1,7 @@
 package simulate
 
 import (
+	"reflect"
 	"sync"
 	"testing"
 
@@ -183,5 +184,28 @@ func TestDefaultAndSmallDiffer(t *testing.T) {
 	}
 	if s.Name == d.Name {
 		t.Fatal("scenario names should differ")
+	}
+}
+
+// TestPaperRatioScalesOnlyVolumes pins PaperRatio to Default with the
+// four campaign volume medians ×PaperRatioVolume and nothing else.
+func TestPaperRatioScalesOnlyVolumes(t *testing.T) {
+	p, d := PaperRatio(7), Default(7)
+	if p.Name == d.Name {
+		t.Fatal("scenario names should differ")
+	}
+	if p.Ecosystem.LoudVolumeMedian != d.Ecosystem.LoudVolumeMedian*PaperRatioVolume ||
+		p.Ecosystem.QuietVolumeMedian != d.Ecosystem.QuietVolumeMedian*PaperRatioVolume ||
+		p.Ecosystem.TinyVolumeMedian != d.Ecosystem.TinyVolumeMedian*PaperRatioVolume ||
+		p.Ecosystem.OtherVolumeMedian != d.Ecosystem.OtherVolumeMedian*PaperRatioVolume {
+		t.Fatalf("volume medians not scaled by %d", PaperRatioVolume)
+	}
+	p.Ecosystem.LoudVolumeMedian = d.Ecosystem.LoudVolumeMedian
+	p.Ecosystem.QuietVolumeMedian = d.Ecosystem.QuietVolumeMedian
+	p.Ecosystem.TinyVolumeMedian = d.Ecosystem.TinyVolumeMedian
+	p.Ecosystem.OtherVolumeMedian = d.Ecosystem.OtherVolumeMedian
+	p.Name = d.Name
+	if !reflect.DeepEqual(p, d) {
+		t.Fatal("PaperRatio changes more than the campaign volume medians")
 	}
 }
