@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"cmp"
 	"math"
 	"slices"
 	"sync"
@@ -666,5 +667,43 @@ func TestCategoryShares(t *testing.T) {
 	}
 	if hi-lo < 0.02 {
 		t.Errorf("pharma share spread %.3f suspiciously tight", hi-lo)
+	}
+}
+
+// TestNameKeyBucketsSortLikeStrings checks rank's ordering machinery
+// on names built to stress it: empty and one-byte names, names that are
+// prefixes of each other, NUL and high bytes, and long shared prefixes
+// that tie on every key bit. Grouping by the key's top two bytes and
+// sortBucket within each group must give plain string order.
+func TestNameKeyBucketsSortLikeStrings(t *testing.T) {
+	names := []string{"", "a", "a\x00", "a\x00\x00", "ab", "abcdefgh", "abcdefghi",
+		"abcdefgh\x00", "abcdefgg", "\xff", "\xff\xff", "zz", "z", "b", "ba"}
+	for i := range 300 {
+		// 300 names in one bucket sharing 12 bytes, then a counter.
+		names = append(names, "cheappills12"+string(rune('a'+i%26))+string(rune('a'+i/26))+".com")
+	}
+	order := make([]int32, len(names))
+	keys := make([]uint64, len(names))
+	for i, s := range names {
+		order[i], keys[i] = int32(i), nameKey(s)
+	}
+	slices.SortStableFunc(order, func(a, b int32) int { return cmp.Compare(keys[a]>>48, keys[b]>>48) })
+	scratch := make([]uint64, len(names))
+	for lo := 0; lo < len(order); {
+		hi := lo + 1
+		for hi < len(order) && keys[order[hi]]>>48 == keys[order[lo]]>>48 {
+			hi++
+		}
+		sortBucket(order[lo:hi], keys, names, scratch[lo:hi])
+		lo = hi
+	}
+	got := make([]string, len(order))
+	for r, i := range order {
+		got[r] = names[i]
+	}
+	want := slices.Clone(names)
+	slices.Sort(want)
+	if !slices.Equal(got, want) {
+		t.Fatalf("bucketed order differs from string order:\n got %q\nwant %q", got, want)
 	}
 }

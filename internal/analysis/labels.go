@@ -17,15 +17,17 @@
 package analysis
 
 import (
+	"math/bits"
 	"runtime"
 	"slices"
-	"sort"
+	"strings"
 	"sync"
 
 	"tasterschoice/internal/domain"
 	"tasterschoice/internal/ecosystem"
 	"tasterschoice/internal/feeds"
 	"tasterschoice/internal/mailflow"
+	"tasterschoice/internal/parallel"
 	"tasterschoice/internal/simclock"
 	"tasterschoice/internal/symtab"
 	"tasterschoice/internal/webcrawl"
@@ -130,107 +132,296 @@ func BuildLabels(w *ecosystem.World, res *mailflow.Result) *Labels {
 }
 
 // BuildLabelsConcurrent is BuildLabels with an explicit worker count.
-// The result is identical for any worker count: each domain's label is
-// computed independently.
+// It crawls on symbols (webcrawl.Crawler.VisitSym), so no URL string is
+// parsed. The result is identical for any worker count: each domain's
+// label is computed independently.
 func BuildLabelsConcurrent(w *ecosystem.World, res *mailflow.Result, workers int) *Labels {
-	return BuildLabelsWith(w, res, workers, func() webcrawl.Visitor {
-		return webcrawl.New(w)
-	})
+	return buildLabels(w, res, workers, func() symVisitor { return webcrawl.New(w) })
 }
 
 // BuildLabelsWith labels using caller-provided crawler instances — one
 // per worker — so the crawl can run over the in-process simulator or a
-// real-HTTP webhost crawler interchangeably. Every feed must be bound
+// real-HTTP webhost crawler interchangeably. Each visit passes the URL
+// string to Visit, once per distinct URL, exactly as BuildLabels
+// visits; everything else is shared with it. Every feed must be bound
 // to the world's symbol table, as the collection engine binds them.
 func BuildLabelsWith(w *ecosystem.World, res *mailflow.Result, workers int,
 	newVisitor func() webcrawl.Visitor) *Labels {
+	return buildLabels(w, res, workers, func() symVisitor {
+		return stringVisitor{v: newVisitor(), tab: w.Syms}
+	})
+}
+
+// symVisitor crawls a feed row's (domain, URL) symbol pair; URL 0 is
+// the domain's bare root. *webcrawl.Crawler implements it.
+type symVisitor interface {
+	VisitSym(d, u symtab.ID) webcrawl.Result
+}
+
+// stringVisitor adapts a webcrawl.Visitor: each visit is one Visit
+// call on the URL's string.
+type stringVisitor struct {
+	v   webcrawl.Visitor
+	tab *symtab.Table
+}
+
+func (s stringVisitor) VisitSym(d, u symtab.ID) webcrawl.Result {
+	if u == 0 {
+		return s.v.Visit("http://" + s.tab.Lookup(d) + "/")
+	}
+	return s.v.Visit(s.tab.Lookup(u))
+}
+
+// labelChunk is the number of consecutive ids a label worker claims at
+// a time: large enough that claiming and the chunk's one zone-file
+// lock are free, small enough that the slow ids (known domains, many
+// URLs) spread across workers.
+const labelChunk = 512
+
+func buildLabels(w *ecosystem.World, res *mailflow.Result, workers int,
+	newVisitor func() symVisitor) *Labels {
 	if workers < 1 {
 		workers = 1
 	}
-	zoneWindow := zoneCheckWindow(w)
 	ls := &Labels{tab: w.Syms, ids: make([]int32, w.Syms.Len())}
+	urls, off, end := ls.sampleURLs(res, ls.rank(w, res, workers))
+	n := len(ls.syms)
 
-	// The id space: the union of feed symbols, ranked by name.
+	zoneWindow := zoneCheckWindow(w)
+	chunks := (n + labelChunk - 1) / labelChunk
+	// One visitor per worker: ForEach runs at most min(workers, chunks)
+	// calls at once, so a call always finds a free visitor.
+	visitors := make(chan symVisitor, min(workers, chunks))
+	for range cap(visitors) {
+		visitors <- newVisitor()
+	}
+	parallel.ForEach(workers, chunks, func(c int) {
+		v := <-visitors
+		lo, hi := c*labelChunk, min(n, (c+1)*labelChunk)
+		for id := lo; id < hi; id++ {
+			ls.labelOne(w, v, int32(id), urls[off[id]:end[id]])
+		}
+		ls.zoneCheck(w, zoneWindow, lo, hi)
+		visitors <- v
+	})
+	return ls
+}
+
+// nameKey packs a name's first eight bytes big-endian, a missing byte
+// counting as zero, so nameKey(a) < nameKey(b) implies a < b. Its top
+// two bytes pick the name's bucket.
+func nameKey(s string) uint64 {
+	var k uint64
+	for i := range 8 {
+		k <<= 8
+		if i < len(s) {
+			k |= uint64(s[i])
+		}
+	}
+	return k
+}
+
+// buckets is the number of two-byte name prefixes rank buckets the
+// union by.
+const buckets = 1 << 16
+
+// rank builds the id space: the union of the feeds' symbols, ranked by
+// name, with each id's InZoneTLD. One parallel pass reads each name
+// once, for its sort key and its TLD's zone coverage; a parallel
+// counting sort scatters the union into two-byte prefix buckets, and
+// the buckets are sorted on parallel.ForEach, which leaves the whole
+// union in order with no merge. rank returns, at [id+1], the number of
+// the id's feed rows that carry a URL.
+func (ls *Labels) rank(w *ecosystem.World, res *mailflow.Result, workers int) (urlRows []int32) {
+	// The union, in first-seen order. ids[sym] is 1 plus the number of
+	// the symbol's rows that carry a URL, until the symbol is ranked.
+	var union []symtab.ID
 	for _, name := range res.Order {
 		f := res.Feed(name)
 		if f.Syms() != ls.tab {
 			//lint:allow stringalloc -- fatal misuse path, reached at most once
 			panic("analysis: feed " + name + " is not bound to the world symbol table")
 		}
-		f.EachIDUnordered(func(sym symtab.ID, _ int64) {
+		f.EachURLIDUnordered(func(sym, u symtab.ID) {
 			if ls.ids[sym] == 0 {
 				ls.ids[sym] = 1
-				ls.syms = append(ls.syms, sym)
+				union = append(union, sym)
+			}
+			if u != 0 {
+				ls.ids[sym]++
 			}
 		})
 	}
-	sort.Slice(ls.syms, func(i, j int) bool {
-		return ls.tab.Lookup(ls.syms[i]) < ls.tab.Lookup(ls.syms[j])
-	})
-	n := len(ls.syms)
-	ls.Domains = make([]domain.Name, n)
-	ls.rows = make([]Label, n)
-	for id, sym := range ls.syms {
-		ls.Domains[id] = domain.Name(ls.tab.Lookup(sym))
-		ls.ids[sym] = int32(id) + 1
-		ls.rows[id].Program = -1
-		ls.rows[id].Affiliate = -1
-	}
+	n := len(union)
 
-	if workers > n {
-		workers = n
+	// Read each name once, in parallel segments of the union: its sort
+	// key and zone coverage, and per segment, how many names fall in
+	// each bucket.
+	names := make([]string, n)
+	keys := make([]uint64, n)
+	covered := make([]bool, n)
+	segs := min(workers, max(n, 1))
+	counts := make([][]int32, segs)
+	parallel.ForEach(workers, segs, func(g int) {
+		count := make([]int32, buckets)
+		for i := g * n / segs; i < (g+1)*n/segs; i++ {
+			s := ls.tab.Lookup(union[i])
+			names[i], keys[i] = s, nameKey(s)
+			covered[i] = w.Registry.Covers(domain.Name(s))
+			count[keys[i]>>48]++
+		}
+		counts[g] = count
+	})
+	// Bucket b holds ids [start[b], start[b+1]); each segment's names
+	// land in it from counts[g][b] on, so the segments scatter in
+	// parallel.
+	start := make([]int32, buckets+1)
+	var full []int32
+	for b := range buckets {
+		at := start[b]
+		for _, count := range counts {
+			at, count[b] = at+count[b], at
+		}
+		start[b+1] = at
+		if at > start[b] {
+			full = append(full, int32(b))
+		}
 	}
-	// Shard the ids across workers; every label is written only by
-	// its own worker, so no locking is needed.
-	var wg sync.WaitGroup
-	for wk := 0; wk < workers; wk++ {
-		wg.Add(1)
-		go func(shard int) {
-			defer wg.Done()
-			crawler := newVisitor()
-			for id := shard; id < n; id += workers {
-				ls.labelOne(w, crawler, zoneWindow, res, int32(id))
-			}
-		}(wk)
-	}
-	wg.Wait()
-	return ls
+	order := make([]int32, n)
+	parallel.ForEach(workers, segs, func(g int) {
+		next := counts[g]
+		for i := g * n / segs; i < (g+1)*n/segs; i++ {
+			b := keys[i] >> 48
+			order[next[b]] = int32(i)
+			next[b]++
+		}
+	})
+
+	// Sort each bucket and assign its ids.
+	ls.Domains = make([]domain.Name, n)
+	ls.syms = make([]symtab.ID, n)
+	ls.rows = make([]Label, n)
+	urlRows = make([]int32, n+1)
+	scratch := make([]uint64, n)
+	parallel.ForEach(workers, len(full), func(j int) {
+		lo, hi := start[full[j]], start[full[j]+1]
+		part := order[lo:hi]
+		sortBucket(part, keys, names, scratch[lo:hi])
+		for k, i := range part {
+			id, sym := lo+int32(k), union[i]
+			ls.Domains[id] = domain.Name(names[i])
+			ls.syms[id] = sym
+			ls.rows[id].InZoneTLD = covered[i]
+			urlRows[id+1] = ls.ids[sym] - 1
+			ls.ids[sym] = id + 1
+		}
+	})
+	return urlRows
 }
 
-// labelOne fills in one domain's label. It visits the distinct sample
-// URLs the feeds saw for the domain, deduplicated by symbol in
-// canonical feed order (URL feeds preserve redirection context); a
-// domain no feed attached a URL to gets the paper's bare
-// "http://domain/" visit.
-func (ls *Labels) labelOne(w *ecosystem.World, crawler webcrawl.Visitor,
-	zoneWindow simclock.Window, res *mailflow.Result, id int32) {
-	d, sym, label := ls.Domains[id], ls.syms[id], &ls.rows[id]
-	label.InZoneTLD = w.Registry.Covers(d)
-	if label.InZoneTLD {
-		label.DNS = w.Registry.AppearedDuring(d, zoneWindow)
+// sampleURLs gathers every id's distinct sample URLs in one walk over
+// the feeds' rows, in res.Order, deduplicated by symbol: id's URLs are
+// urls[off[id]:end[id]], in first-feed order. It turns rank's URL row
+// counts, which bound each id's list, into off in place.
+func (ls *Labels) sampleURLs(res *mailflow.Result, urlRows []int32) (urls []symtab.ID, off, end []int32) {
+	n := len(ls.syms)
+	off = urlRows
+	for id := range n {
+		off[id+1] += off[id]
 	}
-	if info, ok := w.Info(d); ok {
+	urls = make([]symtab.ID, off[n])
+	end = slices.Clone(off[:n])
+	for _, name := range res.Order {
+		res.Feed(name).EachURLIDUnordered(func(sym, u symtab.ID) {
+			if u == 0 {
+				return
+			}
+			id := ls.ids[sym] - 1
+			if !slices.Contains(urls[off[id]:end[id]], u) {
+				urls[end[id]] = u
+				end[id]++
+			}
+		})
+	}
+	return urls, off, end
+}
+
+// sortBucket puts one bucket's union indexes in name order. Each
+// index's position rides in the low bits of its name key (the bucket's
+// two key bytes dropped), so a plain integer sort does the work; only
+// names whose remaining key bits tie are compared as strings. scratch
+// is as long as part.
+func sortBucket(part []int32, keys []uint64, names []string, scratch []uint64) {
+	mask := uint64(1)<<bits.Len(uint(len(part)-1)) - 1
+	for j, i := range part {
+		scratch[j] = keys[i]<<16&^mask | uint64(j)
+	}
+	slices.Sort(scratch)
+	for lo := 0; lo < len(scratch); {
+		hi := lo + 1
+		for hi < len(scratch) && scratch[hi]&^mask == scratch[lo]&^mask {
+			hi++
+		}
+		if hi-lo > 1 {
+			slices.SortFunc(scratch[lo:hi], func(x, y uint64) int {
+				return strings.Compare(names[part[x&mask]], names[part[y&mask]])
+			})
+		}
+		lo = hi
+	}
+	for r, v := range scratch {
+		scratch[r] = uint64(part[v&mask])
+	}
+	for r, v := range scratch {
+		part[r] = int32(v)
+	}
+}
+
+// labelOne crawls one domain and records its benign-list memberships.
+// It visits the domain's distinct sample URLs (URL feeds preserve
+// redirection context); a domain no feed attached a URL to gets the
+// paper's bare "http://domain/" visit.
+func (ls *Labels) labelOne(w *ecosystem.World, v symVisitor, id int32, urls []symtab.ID) {
+	sym, label := ls.syms[id], &ls.rows[id]
+	label.Program, label.Affiliate = -1, -1
+	if info, ok := w.InfoSym(sym); ok {
 		label.Alexa = info.Alexa
 		label.ODP = info.ODP
 	}
-	var urlBuf [16]symtab.ID
-	urls := urlBuf[:0]
-	for _, name := range res.Order {
-		if u, _ := res.Feed(name).SampleURLID(sym); u != 0 && !slices.Contains(urls, u) {
-			urls = append(urls, u)
-		}
-	}
 	for _, u := range urls {
-		label.record(crawler.Visit(ls.tab.Lookup(u)))
+		r := v.VisitSym(sym, u)
+		label.record(&r)
 	}
 	if len(urls) == 0 {
-		label.record(crawler.Visit("http://" + string(d) + "/"))
+		r := v.VisitSym(sym, 0)
+		label.record(&r)
+	}
+}
+
+// zoneCheck sets DNS for ids [lo, hi): whether each appeared in its
+// zone during the window. Only names the world has ground truth for
+// are ever registered, so only those in a covered TLD are looked up,
+// all under one registry lock.
+func (ls *Labels) zoneCheck(w *ecosystem.World, window simclock.Window, lo, hi int) {
+	var names [labelChunk]domain.Name
+	var at [labelChunk]int
+	var found [labelChunk]bool
+	k := 0
+	for id := lo; id < hi; id++ {
+		if _, ok := w.InfoSym(ls.syms[id]); ok && ls.rows[id].InZoneTLD {
+			names[k], at[k] = ls.Domains[id], id
+			k++
+		}
+	}
+	w.Registry.AppearedDuringEach(names[:k], window, found[:k])
+	for j, id := range at[:k] {
+		ls.rows[id].DNS = found[j]
 	}
 }
 
 // record folds one crawl result into the label: any successful visit
 // marks HTTP, and the first tagged visit supplies the tag.
-func (l *Label) record(r webcrawl.Result) {
+func (l *Label) record(r *webcrawl.Result) {
 	if r.OK {
 		l.HTTP = true
 	}

@@ -47,7 +47,7 @@ func ReconstructCampaigns(ds *Dataset, feedName string, slack time.Duration) Rec
 	feed := ds.Feed(feedName)
 	var items []item
 	ix.classFeed(ClassTagged, feedName).Each(func(id int) {
-		info, ok := ds.World.Info(ds.Labels.Domains[id])
+		info, ok := ds.World.InfoSym(ix.sym(id))
 		if !ok || info.Campaign < 0 {
 			return
 		}

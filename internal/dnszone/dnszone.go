@@ -52,8 +52,10 @@ func (iv interval) overlaps(w simclock.Window) bool {
 // Registry is a collection of per-TLD zones with registration history.
 // It is safe for concurrent use.
 type Registry struct {
+	// covered holds the TLDs with zone-file visibility. It is fixed at
+	// construction, so it is read without the lock.
+	covered map[string]bool
 	mu      sync.RWMutex
-	covered map[string]bool // TLDs with zone-file visibility
 	zones   map[string]map[domain.Name][]interval
 }
 
@@ -78,10 +80,9 @@ func NewPaperRegistry() *Registry {
 }
 
 // CoversTLD reports whether the registry has zone-file visibility into
-// the given TLD.
+// the given TLD. It takes no lock: coverage never changes after
+// NewRegistry.
 func (r *Registry) CoversTLD(tld string) bool {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
 	return r.covered[tld]
 }
 
@@ -142,12 +143,27 @@ func (r *Registry) ActiveAt(d domain.Name, t time.Time) bool {
 func (r *Registry) AppearedDuring(d domain.Name, w simclock.Window) bool {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
+	return r.appearedLocked(d, w)
+}
+
+// appearedLocked is AppearedDuring for callers holding mu.
+func (r *Registry) appearedLocked(d domain.Name, w simclock.Window) bool {
 	for _, iv := range r.zones[d.TLD()][d] {
 		if iv.overlaps(w) {
 			return true
 		}
 	}
 	return false
+}
+
+// AppearedDuringEach sets found[i] to AppearedDuring(names[i], w) for
+// every name, under one read lock; found must be as long as names.
+func (r *Registry) AppearedDuringEach(names []domain.Name, w simclock.Window, found []bool) {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	for i, d := range names {
+		found[i] = r.appearedLocked(d, w)
+	}
 }
 
 // Snapshot returns the sorted list of domains active in the given TLD's

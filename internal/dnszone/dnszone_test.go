@@ -183,3 +183,24 @@ func TestConcurrentAccess(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+func TestAppearedDuringEachMatchesAppearedDuring(t *testing.T) {
+	r := NewPaperRegistry()
+	r.Register("pills.com", t1)
+	r.Drop("pills.com", t2)
+	r.Register("meds.net", t0)
+	r.Register("late.org", t3)
+	r.Register("uncovered.ru", t0)
+	names := []domain.Name{"pills.com", "meds.net", "late.org", "uncovered.ru", "never.com", "pills.com"}
+	w := simclock.Window{Start: t0.Add(time.Hour), End: t2.Add(time.Hour)}
+	found := make([]bool, len(names))
+	r.AppearedDuringEach(names, w, found)
+	for i, d := range names {
+		if want := r.AppearedDuring(d, w); found[i] != want {
+			t.Errorf("%s: AppearedDuringEach = %v, AppearedDuring = %v", d, found[i], want)
+		}
+	}
+	if !found[0] || !found[1] || found[2] || found[4] {
+		t.Fatalf("unexpected appearances %v", found)
+	}
+}

@@ -7,12 +7,18 @@ import (
 	"time"
 
 	"tasterschoice/internal/dnszone"
-	"tasterschoice/internal/domain"
 	"tasterschoice/internal/randutil"
 	"tasterschoice/internal/simclock"
+	"tasterschoice/internal/symtab"
 )
 
 // Generate builds a complete deterministic world from the config.
+//
+// Every domain and advertised URL is interned into w.Syms the moment
+// it is minted, in a fixed order: each benign name then its chaff URL,
+// the obscure names, then each campaign's ad slots in campaign order,
+// a slot's name (already interned for a redirector) then its ad URL.
+// Ground truth is filed under the name's symbol as it is created.
 func Generate(cfg Config) (*World, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -20,10 +26,10 @@ func Generate(cfg Config) (*World, error) {
 	w := &World{
 		Config:   cfg,
 		Registry: dnszone.NewPaperRegistry(),
-		index:    make(map[domain.Name]*DomainInfo),
+		Syms:     symtab.New(),
 	}
 	root := randutil.New(cfg.Seed)
-	names := newNameGen(root.SplitNamed("names"))
+	names := newNameGen(root.SplitNamed("names"), w.Syms)
 
 	w.genPrograms(root.SplitNamed("programs"))
 	w.genAffiliates(root.SplitNamed("affiliates"))
@@ -31,8 +37,21 @@ func Generate(cfg Config) (*World, error) {
 	w.genObscure(root.SplitNamed("obscure"), names)
 	w.genBotnets(root.SplitNamed("botnets"))
 	w.genCampaigns(root.SplitNamed("campaigns"), names)
-	w.EnsureSyms()
 	return w, nil
+}
+
+// setInfo files ground truth under a domain symbol, growing the dense
+// info slice to cover it. The slice doubles as it grows (append grows
+// a slice this large by only a quarter at a time).
+func (w *World) setInfo(id symtab.ID, info DomainInfo) {
+	if n := int(id) + 1; n > cap(w.infos) {
+		grown := make([]DomainInfo, n, max(2*cap(w.infos), n, 1024))
+		copy(grown, w.infos)
+		w.infos = grown
+	} else if n > len(w.infos) {
+		w.infos = w.infos[:n]
+	}
+	w.infos[id] = info
 }
 
 // MustGenerate is Generate that panics on error, for tests and tools
@@ -125,11 +144,13 @@ func (w *World) genBenign(rng *randutil.RNG, names *nameGen) {
 	w.Benign = make([]BenignDomain, n)
 	regStart := cfg.Window.Start
 	for i := 0; i < n; i++ {
-		d := names.Benign()
+		d, sym := names.Benign()
 		w.Benign[i] = BenignDomain{
-			Name:  d,
-			Rank:  i,
-			Alexa: i < cfg.AlexaTopN,
+			Name:   d,
+			Rank:   i,
+			Alexa:  i < cfg.AlexaTopN,
+			Sym:    sym,
+			URLSym: w.Syms.AutoURL(sym),
 		}
 		// Registered long before the measurement window.
 		w.Registry.Register(d, regStart.AddDate(0, 0, -(100+rng.Intn(2900))))
@@ -147,10 +168,11 @@ func (w *World) genBenign(rng *randutil.RNG, names *nameGen) {
 	for _, i := range rng.SampleInts(hi-lo, cfg.Redirectors) {
 		w.Benign[lo+i].Redirector = true
 		w.redirectors = append(w.redirectors, w.Benign[lo+i].Name)
+		w.redirectorSyms = append(w.redirectorSyms, w.Benign[lo+i].Sym)
 	}
 	for i := range w.Benign {
 		b := &w.Benign[i]
-		w.index[b.Name] = &DomainInfo{
+		w.setInfo(b.Sym, DomainInfo{
 			Kind:       KindBenign,
 			Campaign:   -1,
 			Program:    -1,
@@ -162,17 +184,18 @@ func (w *World) genBenign(rng *randutil.RNG, names *nameGen) {
 			ODP:        b.ODP,
 			Redirector: b.Redirector,
 			BenignRank: b.Rank,
-		}
+		})
 	}
 }
 
 func (w *World) genObscure(rng *randutil.RNG, names *nameGen) {
 	regStart := w.Config.Window.Start
 	for i := 0; i < w.Config.ObscureRegistered; i++ {
-		d := names.Obscure()
+		d, sym := names.Obscure()
 		w.Obscure = append(w.Obscure, d)
+		w.ObscureSyms = append(w.ObscureSyms, sym)
 		w.Registry.Register(d, regStart.AddDate(0, 0, -(30+rng.Intn(2000))))
-		w.index[d] = &DomainInfo{
+		w.setInfo(sym, DomainInfo{
 			Kind:       KindObscure,
 			Campaign:   -1,
 			Program:    -1,
@@ -181,7 +204,7 @@ func (w *World) genObscure(rng *randutil.RNG, names *nameGen) {
 			Alive:      true,
 			Registered: true,
 			BenignRank: -1,
-		}
+		})
 	}
 }
 
@@ -260,7 +283,7 @@ func rotateDomains(start, end time.Time, k int) []simclock.Window {
 }
 
 // addAdDomain creates an ad slot for a campaign, registering fresh
-// domains and updating the ground-truth index.
+// domains, filing their ground truth, and interning the slot's ad URL.
 func (w *World) addAdDomain(rng *randutil.RNG, names *nameGen, c *Campaign,
 	slot simclock.Window, weight float64, aliveProb float64, allowRedirector bool) {
 	cfg := &w.Config
@@ -269,11 +292,12 @@ func (w *World) addAdDomain(rng *randutil.RNG, names *nameGen, c *Campaign,
 	case allowRedirector && len(w.redirectors) > 0 && rng.Bool(cfg.RedirectorAdFrac):
 		ad.Redirector = true
 		ad.Alive = true
-		ad.Name = w.redirectors[rng.Intn(len(w.redirectors))]
+		k := rng.Intn(len(w.redirectors))
+		ad.Name, ad.Sym = w.redirectors[k], w.redirectorSyms[k]
 	default:
 		ad.Landing = rng.Bool(cfg.LandingAdFrac)
 		ad.Alive = rng.Bool(aliveProb)
-		ad.Name = names.Spam()
+		ad.Name, ad.Sym = names.Spam()
 		reg := slot.Start.Add(-dayDur(1 + rng.ExpFloat64()*4))
 		w.Registry.Register(ad.Name, reg)
 		if rng.Bool(0.8) {
@@ -283,7 +307,7 @@ func (w *World) addAdDomain(rng *randutil.RNG, names *nameGen, c *Campaign,
 		if ad.Landing {
 			kind = KindLanding
 		}
-		w.index[ad.Name] = &DomainInfo{
+		w.setInfo(ad.Sym, DomainInfo{
 			Kind:       kind,
 			Campaign:   c.ID,
 			Program:    c.Program,
@@ -292,8 +316,9 @@ func (w *World) addAdDomain(rng *randutil.RNG, names *nameGen, c *Campaign,
 			Alive:      ad.Alive,
 			Registered: true,
 			BenignRank: -1,
-		}
+		})
 	}
+	ad.URLSym = w.Syms.Intern(AdURL(c, ad))
 	c.Domains = append(c.Domains, ad)
 }
 
@@ -462,16 +487,18 @@ func (w *World) genCampaigns(rng *randutil.RNG, names *nameGen) {
 			kind = KindStorefront
 		}
 		c := newCampaign(affiliate, program, ClassWebOnly, -1, start, end, 0)
-		name := names.Spam()
+		name, sym := names.Spam()
 		registered := webRng.Bool(cfg.WebOnlyRegisteredProb) || kind == KindStorefront
 		alive := registered && webRng.Bool(cfg.WebOnlyAliveProb)
 		if registered {
 			w.Registry.Register(name, start.Add(-dayDur(1+webRng.ExpFloat64()*10)))
 		}
-		c.Domains = append(c.Domains, AdDomain{
-			Name: name, Start: start, End: end, Weight: 1, Alive: alive,
-		})
-		w.index[name] = &DomainInfo{
+		ad := AdDomain{
+			Name: name, Start: start, End: end, Weight: 1, Alive: alive, Sym: sym,
+		}
+		ad.URLSym = w.Syms.Intern(AdURL(c, ad))
+		c.Domains = append(c.Domains, ad)
+		w.setInfo(sym, DomainInfo{
 			Kind:       kind,
 			Campaign:   c.ID,
 			Program:    program,
@@ -480,6 +507,6 @@ func (w *World) genCampaigns(rng *randutil.RNG, names *nameGen) {
 			Alive:      alive,
 			Registered: registered,
 			BenignRank: -1,
-		}
+		})
 	}
 }

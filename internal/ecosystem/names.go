@@ -5,6 +5,7 @@ import (
 
 	"tasterschoice/internal/domain"
 	"tasterschoice/internal/randutil"
+	"tasterschoice/internal/symtab"
 )
 
 // Word lists used to synthesize plausible domain and program names.
@@ -46,30 +47,35 @@ var (
 	benignTLDWeight = []float64{0.55, 0.15, 0.12, 0.05, 0.02, 0.05, 0.03, 0.03}
 )
 
-// nameGen produces unique domain names of various flavors.
+// nameGen produces unique domain names of various flavors, interning
+// each into the world's symbol table as it is minted. The table is
+// also the uniqueness check: a candidate is fresh exactly when
+// interning it assigns a new symbol. Every other symbol in the table
+// is a URL ("http://..."), which no generated name can equal.
 type nameGen struct {
 	rng       *randutil.RNG
 	spamTLD   *randutil.WeightedChoice
 	benignTLD *randutil.WeightedChoice
-	used      map[domain.Name]bool
+	tab       *symtab.Table
 }
 
-func newNameGen(rng *randutil.RNG) *nameGen {
+func newNameGen(rng *randutil.RNG, tab *symtab.Table) *nameGen {
 	return &nameGen{
 		rng:       rng,
 		spamTLD:   randutil.NewWeightedChoice(rng.SplitNamed("spamtld"), spamTLDWeights),
 		benignTLD: randutil.NewWeightedChoice(rng.SplitNamed("benigntld"), benignTLDWeight),
-		used:      make(map[domain.Name]bool),
+		tab:       tab,
 	}
 }
 
-// unique retries gen until it produces an unused name.
-func (g *nameGen) unique(gen func() domain.Name) domain.Name {
+// unique retries gen until it produces a name the table has not seen,
+// and returns it with its new symbol.
+func (g *nameGen) unique(gen func() domain.Name) (domain.Name, symtab.ID) {
 	for i := 0; ; i++ {
 		d := gen()
-		if !g.used[d] {
-			g.used[d] = true
-			return d
+		n := g.tab.Len()
+		if id := g.tab.Intern(string(d)); int(id) == n {
+			return d, id
 		}
 		if i > 10000 {
 			panic("ecosystem: name space exhausted")
@@ -79,7 +85,7 @@ func (g *nameGen) unique(gen func() domain.Name) domain.Name {
 
 // Spam returns a fresh spammy-looking registered domain:
 // word+word+optional digits over a spam-weighted TLD mix.
-func (g *nameGen) Spam() domain.Name {
+func (g *nameGen) Spam() (domain.Name, symtab.ID) {
 	return g.unique(func() domain.Name {
 		a := spamWordsA[g.rng.Intn(len(spamWordsA))]
 		b := spamWordsB[g.rng.Intn(len(spamWordsB))]
@@ -93,7 +99,7 @@ func (g *nameGen) Spam() domain.Name {
 }
 
 // Benign returns a fresh legitimate-looking domain.
-func (g *nameGen) Benign() domain.Name {
+func (g *nameGen) Benign() (domain.Name, symtab.ID) {
 	return g.unique(func() domain.Name {
 		a := benignWords[g.rng.Intn(len(benignWords))]
 		b := benignWords[g.rng.Intn(len(benignWords))]
@@ -111,7 +117,7 @@ func (g *nameGen) Benign() domain.Name {
 
 // Obscure returns a fresh random-string registered domain — the kind a
 // random generator can collide with.
-func (g *nameGen) Obscure() domain.Name {
+func (g *nameGen) Obscure() (domain.Name, symtab.ID) {
 	return g.unique(func() domain.Name {
 		return domain.Name(g.rng.AlphaNum(6+g.rng.Intn(6)) + ".com")
 	})

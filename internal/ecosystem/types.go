@@ -189,7 +189,7 @@ type AdDomain struct {
 	// the crawler visited (dead sites fail the HTTP liveness check).
 	Alive bool
 	// Sym and URLSym are the interned IDs of Name and of the slot's
-	// advertised URL (AdURL) in World.Syms, assigned by EnsureSyms so
+	// advertised URL (AdURL) in World.Syms, assigned by Generate so
 	// the per-message hot path never touches the strings.
 	Sym    symtab.ID
 	URLSym symtab.ID

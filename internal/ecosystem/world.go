@@ -53,12 +53,11 @@ func (k DomainKind) String() string {
 }
 
 // DomainInfo is the world's ground truth about one domain.
+// The one-byte fields lead so the struct packs into 40 bytes: the
+// world keeps one per symbol.
 type DomainInfo struct {
-	Kind      DomainKind
-	Campaign  int // Campaign.ID, -1 if none
-	Program   int // Program.ID, -1 if none
-	Affiliate int // Affiliate.ID, -1 if none
-	Category  Category
+	Kind     DomainKind
+	Category Category
 	// Alive reports whether an HTTP fetch during the measurement
 	// period succeeds.
 	Alive bool
@@ -66,6 +65,10 @@ type DomainInfo struct {
 	Registered bool
 	// Alexa, ODP and Redirector mirror the benign-universe flags.
 	Alexa, ODP, Redirector bool
+
+	Campaign  int // Campaign.ID, -1 if none
+	Program   int // Program.ID, -1 if none
+	Affiliate int // Affiliate.ID, -1 if none
 	// BenignRank is the popularity rank for benign domains, -1
 	// otherwise.
 	BenignRank int
@@ -87,52 +90,42 @@ type World struct {
 	// Registry records all domain registrations for zone-file checks.
 	Registry *dnszone.Registry
 
-	// Syms is the world's shared symbol table: every generated domain
-	// and advertised URL is interned here (EnsureSyms), and the
+	// Syms is the world's shared symbol table: Generate interns every
+	// domain and advertised URL here as it mints them, and the
 	// collection engine threads the IDs end-to-end so per-message code
 	// never re-hashes a string. Engines also intern their synthesized
 	// junk/poison names into it, always from serial code, keeping ID
 	// assignment deterministic for every worker count.
 	Syms *symtab.Table
 
-	index       map[domain.Name]*DomainInfo
-	redirectors []domain.Name
-}
-
-// EnsureSyms interns every generated domain (and derived URL) into
-// w.Syms in a fixed order: benign, obscure, then campaign slots. It is
-// idempotent; Generate calls it, and engines call it again to cover
-// hand-assembled test worlds.
-func (w *World) EnsureSyms() {
-	if w.Syms != nil {
-		return
-	}
-	tab := symtab.New()
-	for i := range w.Benign {
-		b := &w.Benign[i]
-		b.Sym = tab.Intern(string(b.Name))
-		b.URLSym = tab.AutoURL(b.Sym)
-	}
-	w.ObscureSyms = make([]symtab.ID, len(w.Obscure))
-	for i, d := range w.Obscure {
-		w.ObscureSyms[i] = tab.Intern(string(d))
-	}
-	for ci := range w.Campaigns {
-		c := &w.Campaigns[ci]
-		for si := range c.Domains {
-			slot := &c.Domains[si]
-			slot.Sym = tab.Intern(string(slot.Name))
-			slot.URLSym = tab.Intern(AdURL(c, *slot))
-		}
-	}
-	w.Syms = tab
+	// infos is the ground truth, indexed by domain symbol; entries of
+	// URL symbols, and symbols past its end (names engines interned
+	// after generation), have Kind KindUnknown. It is written only
+	// during Generate.
+	infos          []DomainInfo
+	redirectors    []domain.Name
+	redirectorSyms []symtab.ID
 }
 
 // Info returns ground truth for a domain. ok is false for names the
-// world has never heard of (poison output, junk).
+// world has never heard of (poison output, junk). It hashes the name
+// under the symbol table's lock; per-domain loops use InfoSym.
 func (w *World) Info(d domain.Name) (*DomainInfo, bool) {
-	info, ok := w.index[d]
-	return info, ok
+	id, ok := w.Syms.Find(string(d))
+	if !ok {
+		return nil, false
+	}
+	return w.InfoSym(id)
+}
+
+// InfoSym is Info for a symbol of w.Syms: one slice read, safe for
+// concurrent use. Every name the world registered in its Registry has
+// ground truth, so a symbol with ok == false never appears in a zone.
+func (w *World) InfoSym(id symtab.ID) (*DomainInfo, bool) {
+	if int(id) >= len(w.infos) || w.infos[id].Kind == KindUnknown {
+		return nil, false
+	}
+	return &w.infos[id], true
 }
 
 // Redirectors returns the benign domains offering redirection services.
@@ -172,7 +165,8 @@ func (w *World) Poisoner() *Botnet {
 // sanity metric used by tests.
 func (w *World) TaggedUniverse() int {
 	n := 0
-	for _, info := range w.index {
+	for i := range w.infos {
+		info := &w.infos[i]
 		if info.Alive && info.Category.Tagged() && info.Program >= 0 &&
 			(info.Kind == KindStorefront || info.Kind == KindLanding) {
 			n++

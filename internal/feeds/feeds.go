@@ -298,16 +298,6 @@ func (f *Feed) StatID(d symtab.ID) (DomainStat, bool) {
 	return f.stat(s), true
 }
 
-// SampleURLID returns the interned sample-URL ID for d (0 when absent
-// or for domain-only feeds).
-func (f *Feed) SampleURLID(d symtab.ID) (symtab.ID, bool) {
-	s := f.rowOf(d)
-	if s == nil {
-		return 0, false
-	}
-	return s.url, true
-}
-
 // Has reports whether the feed contains d.
 func (f *Feed) Has(d domain.Name) bool {
 	id, ok := f.syms.Find(string(d))
@@ -381,6 +371,14 @@ func (f *Feed) EachUnordered(fn func(d domain.Name, s DomainStat)) {
 func (f *Feed) EachIDUnordered(fn func(d symtab.ID, count int64)) {
 	for i := range f.rows {
 		fn(f.rows[i].d, f.rows[i].count)
+	}
+}
+
+// EachURLIDUnordered calls fn for every row with its sample-URL ID (0
+// when the feed saw no URL for the domain); order is unspecified.
+func (f *Feed) EachURLIDUnordered(fn func(d, url symtab.ID)) {
+	for i := range f.rows {
+		fn(f.rows[i].d, f.rows[i].url)
 	}
 }
 

@@ -1,6 +1,7 @@
 package mailflow
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"slices"
@@ -161,7 +162,9 @@ func (e *Engine) Run() (res *Result, err error) {
 	if err := e.Cfg.Validate(); err != nil {
 		return nil, err
 	}
-	e.World.EnsureSyms()
+	if e.World.Syms == nil {
+		return nil, errors.New("mailflow: world has no symbol table (build it with ecosystem.Generate)")
+	}
 	e.syms = e.World.Syms
 	e.winStartN = e.window.Start.UnixNano()
 	e.winEndN = e.window.End.UnixNano()

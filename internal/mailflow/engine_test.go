@@ -234,3 +234,13 @@ func TestLookupUnknownFeed(t *testing.T) {
 		t.Fatal("Lookup of unknown feed succeeded")
 	}
 }
+
+// TestRunRejectsWorldWithoutSymbols checks a world not built by
+// ecosystem.Generate, which interns every name, is an error rather
+// than a nil dereference mid-run.
+func TestRunRejectsWorldWithoutSymbols(t *testing.T) {
+	w := &ecosystem.World{Config: ecosystem.DefaultConfig(1)}
+	if res, err := New(w, DefaultConfig(1)).Run(); err == nil || res != nil {
+		t.Fatalf("Run on a world without a symbol table = %v, %v; want an error", res, err)
+	}
+}

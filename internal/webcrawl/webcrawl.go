@@ -8,11 +8,17 @@
 // consults the live web: through the URL it was given. Domain-only
 // feeds lose redirection context (crawling a URL shortener's root page
 // reaches only its homepage), exactly as in the paper.
+//
+// Visit takes the URL string, as a real crawler does; VisitSym takes
+// the interned symbols a feed row already holds and reaches the same
+// result with no parsing: ground truth is a slice read by domain
+// symbol, and only a redirector's URL is read for its campaign token.
 package webcrawl
 
 import (
 	"tasterschoice/internal/domain"
 	"tasterschoice/internal/ecosystem"
+	"tasterschoice/internal/symtab"
 )
 
 // Result is the outcome of one URL visit.
@@ -77,44 +83,64 @@ func (c *Crawler) Visit(rawURL string) Result {
 	}
 	res.Domain = d
 	res.Final = d
-	info, known := c.World.Info(d)
-	if !known {
-		return res // NXDOMAIN or dead host
+	if info, known := c.World.Info(d); known {
+		c.fetch(&res, info)
 	}
-	campaignID, redirect, hasToken := ecosystem.DecodeCampaignToken(rawURL)
+	return res // unknown: NXDOMAIN or dead host
+}
 
+// VisitSym is Visit on symbols of the world's table: u is the URL and
+// d its registered domain under c.Rules, the pair a feed row records
+// (d is 0, the empty name, for a URL with no parseable host). u == 0
+// visits d's bare root, "http://d/", as VisitDomain does. Given that
+// pairing, the result equals Visit's on u's string, field for field,
+// and Visits advances the same; a domain the world does not know
+// returns at once. Safe for concurrent use on separate Crawlers.
+func (c *Crawler) VisitSym(d, u symtab.ID) Result {
+	c.Visits++
+	tab := c.World.Syms
+	name := domain.Name(tab.Lookup(d))
+	res := Result{Domain: name, Final: name, Program: -1, Affiliate: -1}
+	if u != 0 {
+		res.URL = tab.Lookup(u)
+	} else {
+		res.URL = "http://" + string(name) + "/"
+	}
+	if info, known := c.World.InfoSym(d); known {
+		c.fetch(&res, info)
+	}
+	return res
+}
+
+// fetch classifies a visit to a domain the world knows; res carries
+// the visited URL and its domain.
+func (c *Crawler) fetch(res *Result, info *ecosystem.DomainInfo) {
 	switch info.Kind {
 	case ecosystem.KindBenign:
 		res.OK = true
 		// A redirection-service URL with a valid token forwards to
 		// the campaign's storefront; anything else is just a benign
-		// page.
-		if info.Redirector && redirect && hasToken {
-			c.followToStorefront(&res, campaignID)
+		// page, so only a redirector's URL is read for the token.
+		if info.Redirector {
+			if campaignID, redirect, ok := ecosystem.DecodeCampaignToken(res.URL); ok && redirect {
+				c.followToStorefront(res, campaignID)
+			}
 		}
-		return res
 	case ecosystem.KindObscure, ecosystem.KindWebOnly:
 		res.OK = info.Alive
-		return res
 	case ecosystem.KindStorefront:
-		if !info.Alive {
-			return res
+		if info.Alive {
+			res.OK = true
+			c.tag(res, info)
 		}
-		res.OK = true
-		c.tag(&res, info)
-		return res
 	case ecosystem.KindLanding:
-		if !info.Alive {
-			return res
+		if info.Alive {
+			// The landing page redirects to the program-hosted
+			// storefront, which tags like the storefront itself.
+			c.Visits++
+			res.OK = true
+			c.tag(res, info)
 		}
-		// The landing page redirects to the program-hosted
-		// storefront, which tags like the storefront itself.
-		c.Visits++
-		res.OK = true
-		c.tag(&res, info)
-		return res
-	default:
-		return res
 	}
 }
 
