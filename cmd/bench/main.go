@@ -329,6 +329,8 @@ func measure(scenario, rev string) *Report {
 	// The DNSBL serving plane: in-process handling speedup plus
 	// end-to-end UDP throughput and tail latency (serve.go).
 	measureServe(rep)
+	// The serving plane's cold start: bulk zone loading (serve.go).
+	run("dnsbl_load", loadZones(), nil)
 
 	return rep
 }

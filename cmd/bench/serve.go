@@ -1,17 +1,22 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"os"
+	"strings"
 	"testing"
 	"time"
 
 	"tasterschoice/internal/dnsbl"
 	"tasterschoice/internal/dnsblplane"
 	"tasterschoice/internal/domain"
+	"tasterschoice/internal/ecosystem"
 	"tasterschoice/internal/feeds"
+	"tasterschoice/internal/mailflow"
 	"tasterschoice/internal/simclock"
+	"tasterschoice/internal/simulate"
 )
 
 // blastDuration is how long each end-to-end UDP blast runs. Long
@@ -217,4 +222,42 @@ func blast(addr string, zones []string) *dnsblplane.Report {
 		fatalf("blast %s: no answers received", addr)
 	}
 	return rep
+}
+
+// loadZones returns the dnsbl_load op, the serving plane's cold start:
+// a fresh 4-shard plane with one zone per feed of a Small(2010) world,
+// each zone bulk-loaded with Plane.LoadTSV from its feed serialized to
+// memory, the way cmd/dnsblserve loads its -serve files. Generating
+// and serializing the feeds happen once, outside the op.
+func loadZones() func() {
+	sc := simulate.Small(2010)
+	world, err := ecosystem.Generate(sc.Ecosystem)
+	if err != nil {
+		fatalf("dnsbl_load world: %v", err)
+	}
+	res, err := mailflow.New(world, sc.Collection).Run()
+	if err != nil {
+		fatalf("dnsbl_load collection: %v", err)
+	}
+	var zones []dnsblplane.ZoneConfig
+	var files [][]byte
+	for _, name := range res.Order {
+		var buf bytes.Buffer
+		if err := res.Feeds[name].WriteTSV(&buf); err != nil {
+			fatalf("dnsbl_load serialize %s: %v", name, err)
+		}
+		zones = append(zones, dnsblplane.ZoneConfig{Suffix: strings.ToLower(name) + ".bench"})
+		files = append(files, buf.Bytes())
+	}
+	return func() {
+		plane, err := dnsblplane.New(dnsblplane.Config{Zones: zones, Shards: 4})
+		if err != nil {
+			fatalf("dnsbl_load plane: %v", err)
+		}
+		for i, z := range zones {
+			if _, err := plane.LoadTSV(z.Suffix, bytes.NewReader(files[i]), ""); err != nil {
+				fatalf("dnsbl_load %s: %v", z.Suffix, err)
+			}
+		}
+	}
 }

@@ -9,12 +9,17 @@
 //	           -serve uribl.example=feeds-out/uribl.tsv \
 //	           -shards 4 -listen 127.0.0.1:5353
 //
-// The feed name attributed in TXT answers is the file's base name
-// (".tsv" feeds load as aggregate TSV, anything else as raw JSONL
-// observation logs). With -sync-addr the server also tails feedsync
-// deltas live: -sync FEED=ZONE subscribes to FEED on the feedsync
-// server and hot-reloads its records into ZONE while queries keep
-// flowing.
+// A ".tsv" file is an aggregate feed as cmd/feedgen writes it. It
+// streams straight into its zone's shards (dnsblplane.Plane.LoadTSV):
+// one parse, every row checked as feeds.ReadTSV checks it, and no
+// symbol table or sample URLs kept, so start-up costs about one pass
+// over the file. Any other file is a raw JSONL observation log,
+// aggregated first and then loaded. TXT answers name the feed from
+// the TSV header, or the file's base name when there is none (always,
+// for JSONL). A malformed file stops the server before it listens.
+// With -sync-addr the server also tails feedsync deltas live: -sync
+// FEED=ZONE subscribes to FEED on the feedsync server and hot-reloads
+// its records into ZONE while queries keep flowing.
 //
 // Query it with the dnsbl client, or with standard tools:
 //
@@ -119,30 +124,26 @@ func (o options) gate(reg *obs.Registry) *overload.Gate {
 	return overload.NewGate(cfg)
 }
 
-// loadFeedFile reads one feed file — aggregate TSV for .tsv, raw JSONL
-// observation log otherwise — naming the feed after the file.
-func loadFeedFile(path string) (*feeds.Feed, error) {
+// loadFeedFile loads one feed file into a zone and returns the number
+// of records read. An aggregate ".tsv" feed streams straight into the
+// plane (Plane.LoadTSV); anything else is read as a raw JSONL
+// observation log, aggregated, then loaded. The feed is named after the
+// file unless a TSV header names it.
+func loadFeedFile(plane *dnsblplane.Plane, zone, path string) (int, error) {
 	name := strings.TrimSuffix(filepath.Base(path), filepath.Ext(path))
 	f, err := os.Open(path)
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
 	defer f.Close()
 	if strings.HasSuffix(path, ".tsv") {
-		feed, err := feeds.ReadTSV(f)
-		if err != nil {
-			return nil, err
-		}
-		if feed.Name == "" {
-			feed.Name = name
-		}
-		return feed, nil
+		return plane.LoadTSV(zone, f, name)
 	}
 	feed := feeds.New(name, feeds.KindBlacklist, false, false)
 	if _, err := feed.ReadRaw(f); err != nil {
-		return nil, err
+		return 0, err
 	}
-	return feed, nil
+	return plane.LoadFeed(zone, feed)
 }
 
 // setupPlane wires the multi-zone sharded plane: parses the -serve
@@ -204,14 +205,7 @@ func setupPlane(o options) (srv *dnsblplane.Server, addr net.Addr, ms *obs.Metri
 		}
 	}
 	for _, l := range loads {
-		feed, err := loadFeedFile(l.path)
-		if err != nil {
-			if ms != nil {
-				ms.Close()
-			}
-			return nil, nil, nil, nil, err
-		}
-		n, err := plane.LoadFeed(l.zone, feed)
+		n, err := loadFeedFile(plane, l.zone, l.path)
 		if err != nil {
 			if ms != nil {
 				ms.Close()

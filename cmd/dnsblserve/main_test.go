@@ -340,3 +340,57 @@ func TestApplyZoneOverrides(t *testing.T) {
 		}
 	}
 }
+
+// TestSetupPlaneRejectsBadTSV: a malformed aggregate TSV fails the
+// whole setup (a duplicate row, an inverted first/last pair, a row
+// short of a field), and a header without a feed name still attributes
+// TXT answers to the file's base name.
+func TestSetupPlaneRejectsBadTSV(t *testing.T) {
+	const (
+		header = "#feed dbl\tblacklist\tfalse\tfalse\n"
+		row    = "cheappills.com\t1\t2010-08-01T00:00:00Z\t2010-08-01T00:00:00Z\t\n"
+	)
+	write := func(name, body string) string {
+		t.Helper()
+		path := filepath.Join(t.TempDir(), name)
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	for name, body := range map[string]string{
+		"duplicate row":  header + row + row,
+		"inverted times": header + "cheappills.com\t1\t2010-08-02T00:00:00Z\t2010-08-01T00:00:00Z\t\n",
+		"four fields":    header + "cheappills.com\t1\t2010-08-01T00:00:00Z\t2010-08-01T00:00:00Z\n",
+	} {
+		srv, _, _, stop, err := setupPlane(options{
+			serves: []string{"dbl.example=" + write("dbl.tsv", body)},
+			listen: "127.0.0.1:0", ttl: 300,
+		})
+		if err == nil {
+			stop()
+			srv.Close()
+			t.Errorf("%s: setupPlane accepted the feed", name)
+		}
+	}
+
+	path := write("nameless.tsv", "#feed \tblacklist\tfalse\tfalse\n"+row)
+	srv, addr, _, stop, err := setupPlane(options{
+		serves: []string{"dbl.example=" + path},
+		listen: "127.0.0.1:0", ttl: 300,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stop()
+	defer srv.Close()
+	c := dnsbl.NewClient(addr.String(), "dbl.example", 1)
+	c.Timeout = 3 * time.Second
+	reason, err := c.Reason("cheappills.com")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := "listed 2010-08-01T00:00:00Z by nameless"; reason != want {
+		t.Fatalf("TXT reason = %q, want %q", reason, want)
+	}
+}

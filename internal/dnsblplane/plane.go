@@ -5,7 +5,7 @@
 //
 //   - Sharding. Each zone's listings are split across a power-of-two
 //     number of shards by FNV-1a over the domain name. The same hash
-//     runs on the write path (over the interned symbol) and the read
+//     runs on the write path (over the normalized key) and the read
 //     path (over the normalized query bytes), so both sides agree on
 //     placement without coordination.
 //
@@ -20,9 +20,11 @@
 //     against the shard generation so a reload invalidates every
 //     cached miss instantly.
 //
-//   - Interned symbols. Domain names are interned once into the
-//     plane's symtab; every snapshot generation keys on the same
-//     backing strings, and entries carry dense IDs, not copies.
+//   - Bulk build. A zone loads from its feed file in one pass (see
+//     LoadTSV): rows stream from the feeds TSV scanner straight into
+//     per-shard slices, keys are packed into a few large arena
+//     strings, and each shard's map is built once at its final size.
+//     Later generations copy the map, and copies share the key bytes.
 //
 // Determinism contract: the plane is engine-tier. All time comes from
 // the injected overload.Clock, all randomness from seeded randutil,
@@ -45,7 +47,6 @@ import (
 	"tasterschoice/internal/domain"
 	"tasterschoice/internal/feeds"
 	"tasterschoice/internal/overload"
-	"tasterschoice/internal/symtab"
 )
 
 // Errors returned by plane configuration and reload.
@@ -170,7 +171,6 @@ type Plane struct {
 	ttl    uint32
 	negTTL time.Duration
 	clock  overload.Clock
-	syms   *symtab.Table
 
 	// Metrics observes the plane; the zero value is inert. Set before
 	// serving.
@@ -208,13 +208,12 @@ func New(cfg Config) (*Plane, error) {
 		ttl:    ttl,
 		negTTL: negTTL,
 		clock:  cfg.Clock,
-		syms:   symtab.New(),
 	}
 	if p.clock == nil {
 		p.clock = overload.WallClock
 	}
 	for _, zc := range cfg.Zones {
-		suffix := strings.ToLower(strings.TrimSuffix(zc.Suffix, "."))
+		suffix := key(zc.Suffix)
 		if suffix == "" {
 			return nil, fmt.Errorf("dnsblplane: empty zone suffix")
 		}
@@ -265,7 +264,7 @@ func (p *Plane) TTL() uint32 { return p.ttl }
 
 // zoneFor returns the zone serving the given suffix.
 func (p *Plane) zoneFor(suffix string) (*zone, error) {
-	z := p.byName[strings.ToLower(strings.TrimSuffix(suffix, "."))]
+	z := p.byName[key(suffix)]
 	if z == nil {
 		return nil, fmt.Errorf("%w: %q", ErrUnknownZone, suffix)
 	}
@@ -284,39 +283,14 @@ func (p *Plane) Apply(zoneSuffix string, recs []Record) error {
 	if err != nil {
 		return err
 	}
-	// Group the batch per shard; tiny batches skip the allocation by
-	// applying directly.
-	type group struct {
-		names []string
-		adds  []entry
-	}
-	groups := make(map[uint32]*group)
+	b := z.newBatch()
 	for _, rec := range recs {
-		name := strings.ToLower(strings.TrimSuffix(rec.Domain, "."))
-		if name == "" {
-			continue
+		if name := key(rec.Domain); name != "" {
+			b.add(listing{name: name, firstUnix: rec.First.Unix(), feed: z.feedIndex(rec.Feed)})
 		}
-		// Intern once; every snapshot generation shares this backing
-		// string, and the entry row stays two words.
-		id := p.syms.Intern(name)
-		interned := p.syms.Lookup(id)
-		si := shardOf([]byte(interned), z.mask)
-		g := groups[si]
-		if g == nil {
-			g = &group{}
-			groups[si] = g
-		}
-		g.names = append(g.names, interned)
-		g.adds = append(g.adds, entry{
-			firstUnix: rec.First.Unix(),
-			feed:      z.feedIndex(rec.Feed),
-		})
 	}
-	for si, g := range groups {
-		z.shards[si].apply(g.names, g.adds)
-	}
-	p.Metrics.ReloadBatches.Inc()
-	p.Metrics.ReloadRecords.Add(int64(len(recs)))
+	maps, _ := b.fold()
+	p.commit(b, maps, len(recs))
 	return nil
 }
 
@@ -324,14 +298,20 @@ func (p *Plane) Apply(zoneSuffix string, recs []Record) error {
 // returning the number of records applied. The feed's name becomes the
 // TXT reason attribution.
 func (p *Plane) LoadFeed(zoneSuffix string, f *feeds.Feed) (int, error) {
-	recs := make([]Record, 0, f.Unique())
-	f.EachUnordered(func(d domain.Name, s feeds.DomainStat) {
-		recs = append(recs, Record{Domain: string(d), First: s.First, Feed: f.Name})
-	})
-	if err := p.Apply(zoneSuffix, recs); err != nil {
+	z, err := p.zoneFor(zoneSuffix)
+	if err != nil {
 		return 0, err
 	}
-	return len(recs), nil
+	fi := z.feedIndex(f.Name)
+	b := z.newBatch()
+	f.EachUnordered(func(d domain.Name, s feeds.DomainStat) {
+		if name := key(string(d)); name != "" {
+			b.add(listing{name: name, firstUnix: s.First.Unix(), feed: fi})
+		}
+	})
+	maps, _ := b.fold()
+	p.commit(b, maps, f.Unique())
+	return f.Unique(), nil
 }
 
 // Lookup reports whether a domain is listed in a zone, with its
@@ -342,8 +322,8 @@ func (p *Plane) Lookup(zoneSuffix, domain string) (listed bool, first time.Time,
 	if err != nil {
 		return false, time.Time{}, "", err
 	}
-	name := strings.ToLower(strings.TrimSuffix(domain, "."))
-	snap := z.shards[shardOf([]byte(name), z.mask)].load()
+	name := key(domain)
+	snap := z.shards[shardOf(name, z.mask)].load()
 	e, ok := snap.entries[name]
 	if !ok {
 		return false, time.Time{}, "", nil

@@ -22,8 +22,8 @@ type entry struct {
 // consistent view; writers never mutate a published snapshot.
 type snapshot struct {
 	// entries maps lowercased registered-domain names to their listing.
-	// Keys are the interned symbol strings from the plane's symtab, so
-	// every snapshot generation shares one backing copy of each name.
+	// A generation copied from the previous one reuses its key strings,
+	// so every generation shares one backing copy of each name.
 	entries map[string]entry
 	// gen is the shard generation, bumped on every swap. The negative
 	// cache keys its validity off this: a reload invalidates every
@@ -57,33 +57,67 @@ func (sh *shard) load() *snapshot {
 	return sh.cur.Load()
 }
 
-// apply publishes a new snapshot containing every existing entry plus
-// the adds. Earliest listing wins: a domain already listed keeps
-// whichever record carries the earlier first-seen time, so applying
-// records in any arrival order converges on the same index that
-// feeds.Feed's min-time dedup would build. names[i] must be the
-// interned string for adds[i]. The whole batch becomes visible in one
-// atomic swap: a concurrent reader sees either none of it or all of
-// it, never a torn prefix.
-func (sh *shard) apply(names []string, adds []entry) {
-	if len(names) == 0 {
+// listing is one normalized listing on its way into a shard.
+type listing struct {
+	// name is the index key (lowercased, no trailing dot).
+	name      string
+	firstUnix int64
+	// line is the source line of a LoadTSV row, for its duplicate
+	// report; 0 on the other write paths.
+	line int
+	feed uint16
+}
+
+// fold builds one shard's batch map from its listings. Within a batch
+// the earliest listing wins, and of equally early ones the first, as
+// if the listings were applied one at a time. repeats reports whether
+// any name came more than once. An empty batch folds to a nil map.
+func fold(ls []listing) (m map[string]entry, repeats bool) {
+	if len(ls) == 0 {
+		return nil, false
+	}
+	m = make(map[string]entry, len(ls))
+	for _, l := range ls {
+		if prev, dup := m[l.name]; dup {
+			repeats = true
+			if l.firstUnix >= prev.firstUnix {
+				continue
+			}
+		}
+		m[l.name] = entry{firstUnix: l.firstUnix, feed: l.feed}
+	}
+	return m, repeats
+}
+
+// merge publishes a new snapshot holding every existing entry plus the
+// batch. Earliest listing wins: a domain already listed keeps whichever
+// record carries the earlier first-seen time (the existing one on a
+// tie), so applying records in any arrival order converges on the same
+// index that feeds.Feed's min-time dedup would build. Into an empty
+// shard the batch map is published as it is, so a bulk load builds
+// each shard's map once, at its final size; otherwise the current map
+// is copied. The whole batch becomes visible in one atomic swap: a
+// concurrent reader sees either none of it or all of it, never a torn
+// prefix. The caller must not touch batch afterwards.
+func (sh *shard) merge(batch map[string]entry) {
+	if len(batch) == 0 {
 		return
 	}
 	sh.mu.Lock()
 	old := sh.cur.Load()
-	next := &snapshot{
-		entries: make(map[string]entry, len(old.entries)+len(names)),
-		gen:     old.gen + 1,
-	}
-	for k, v := range old.entries {
-		next.entries[k] = v
-	}
-	for i, name := range names {
-		if prev, dup := next.entries[name]; !dup || adds[i].firstUnix < prev.firstUnix {
-			next.entries[name] = adds[i]
+	next := batch
+	if len(old.entries) > 0 {
+		next = make(map[string]entry, len(old.entries)+len(batch))
+		for k, v := range old.entries {
+			next[k] = v
+		}
+		for k, v := range batch {
+			if prev, dup := next[k]; !dup || v.firstUnix < prev.firstUnix {
+				next[k] = v
+			}
 		}
 	}
-	sh.cur.Store(next)
+	sh.cur.Store(&snapshot{entries: next, gen: old.gen + 1})
 	sh.mu.Unlock()
 }
 
@@ -94,14 +128,14 @@ const (
 )
 
 // shardOf hashes a (lowercased) domain name to its shard index with
-// FNV-1a. The same function runs on the write path (over the interned
-// symbol's bytes) and the read path (over the normalized query bytes),
+// FNV-1a. The same function runs on the write path (over the
+// normalized key) and the read path (over the normalized query bytes),
 // so both sides always agree on placement. mask is shardCount-1
 // (shard counts are powers of two).
-func shardOf(name []byte, mask uint32) uint32 {
+func shardOf[T string | []byte](name T, mask uint32) uint32 {
 	var h uint64 = fnv1aOffset
-	for _, c := range name {
-		h ^= uint64(c)
+	for i := 0; i < len(name); i++ {
+		h ^= uint64(name[i])
 		h *= fnv1aPrime
 	}
 	return uint32(h) & mask
